@@ -1,14 +1,17 @@
 // Command reachd serves reachability queries over HTTP: it loads an
 // edge-list graph, builds (or snapshot-loads) a reachability index, and
-// answers single, batch and stats requests through a sharded query cache
-// and a worker pool.
+// answers single, batch and stats requests through a lock-free query
+// cache and a worker pool.
 //
 // Usage:
 //
 //	reachd -graph g.txt [-method DL] [-addr :8080] [-snapshot g.snap]
-//	       [-workers N] [-cache-policy s3fifo] [-cache-capacity 1048576]
-//	       [-cache-shards 64] [-request-timeout 0] [-max-inflight 0]
-//	       [-slow-query-log 50ms] [-pprof] [-observers on] [-mux-addr :9090]
+//	       [-workers N] [-cache-capacity 1048576] [-request-timeout 0]
+//	       [-max-inflight 0] [-slow-query-log 50ms] [-pprof] [-observers on]
+//	       [-mux-addr :9090]
+//
+// -cache-capacity sizes the query cache in answers, rounded down to a
+// power of two (at least 64); a negative value disables it.
 //
 // -mux-addr additionally listens for the raw-TCP stream transport
 // (docs/WIRE.md, "Stream transport"): routers that learn the address
@@ -72,9 +75,7 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		snapshot  = flag.String("snapshot", "", "snapshot path: mmap-load if present, else build and save")
 		workers   = flag.Int("workers", 0, "batch worker pool size (default GOMAXPROCS)")
-		policy    = flag.String("cache-policy", server.PolicyS3FIFO, "query cache admission policy: s3fifo or fifo")
-		cacheCap  = flag.Int("cache-capacity", server.DefaultCacheCapacity, "query cache entries (negative disables)")
-		shards    = flag.Int("cache-shards", server.DefaultCacheShards, "query cache shard count")
+		cacheCap  = flag.Int("cache-capacity", server.DefaultCacheCapacity, "query cache answers, rounded down to a power of two, at least 64 (negative disables)")
 		maxBatch  = flag.Int("max-batch", 0, "max pairs per /v1/batch request (default 1<<20)")
 		reqTO     = flag.Duration("request-timeout", 0, "per-request deadline; expired requests answer 503 (0 disables; defaults to 30s when -max-inflight is set)")
 		inflight  = flag.Int("max-inflight", 0, "max concurrent query requests before answering 429 (0 = unlimited)")
@@ -100,11 +101,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "reachd: unknown -wire %q (want binary or json)\n", *wire)
 		os.Exit(1)
 	}
-	if *policy != server.PolicyS3FIFO && *policy != server.PolicyFIFO {
-		fmt.Fprintf(os.Stderr, "reachd: unknown -cache-policy %q (want %s or %s)\n",
-			*policy, server.PolicyS3FIFO, server.PolicyFIFO)
-		os.Exit(1)
-	}
 	// An unset -method means "whatever the snapshot holds" when loading,
 	// and DL when building; only an explicit -method constrains a load.
 	methodSet := false
@@ -115,8 +111,6 @@ func main() {
 	})
 	if err := run(*graphPath, *method, methodSet, *addr, *snapshot, *muxAddr, *observers == "off", server.Config{
 		Workers:            *workers,
-		CachePolicy:        *policy,
-		CacheShards:        *shards,
 		CacheCapacity:      *cacheCap,
 		MaxBatchPairs:      *maxBatch,
 		RequestTimeout:     *reqTO,

@@ -11,7 +11,7 @@ import (
 // HotPathAlloc enforces the zero-allocation contract of functions marked
 // //reach:hotpath.
 //
-// The observer Query, the cache shard lookup, histogram Record and the
+// The observer Query, the cache lookup, histogram Record and the
 // hop-label merge intersection are on every request; their benchmarks
 // pin 0 allocs/op, and the CI perf gate fails on ns/op growth — but
 // neither names the line that regressed. This analyzer rejects the

@@ -1,218 +1,160 @@
 package server
 
-import "sync"
+import "sync/atomic"
 
-// Cache defaults; Config leaves them overridable per daemon.
+// DefaultCacheCapacity is the default query-cache size in answers: 2^17
+// sets of eight slots, 8 MiB per server.
+const DefaultCacheCapacity = 1 << 20
+
+// cacheWays is the set associativity: eight 8-byte slots are one 64-byte
+// cache line, so a lookup or an insert touches one line.
+const cacheWays = 8
+
+// A slot is one word: tag<<slotFlagBits | flags, where tag is the pair
+// key's mixed hash above the set index. slotValid is set on every stored
+// entry, so the zero word is an empty slot.
 const (
-	// DefaultCacheShards is the shard count (rounded up to a power of
-	// two). 64 ways keeps lock contention negligible at the concurrency
-	// levels a single reachd serves.
-	DefaultCacheShards = 64
-	// DefaultCacheCapacity bounds total cached (u,v) answers. At one map
-	// entry plus one ring slot per answer this is a few tens of MiB.
-	DefaultCacheCapacity = 1 << 20
+	slotValid    = 1 << 0
+	slotAnswer   = 1 << 1
+	slotRef      = 1 << 2
+	slotFlagBits = 3
 )
 
-// Cache admission policies selectable via Config.CachePolicy.
-const (
-	// PolicyS3FIFO is the default: a small probationary FIFO in front of
-	// a main FIFO with a ghost set remembering recent evictions, so
-	// one-hit wonders wash out of the small queue without displacing the
-	// hot working set. See s3fifo.go.
-	PolicyS3FIFO = "s3fifo"
-	// PolicyFIFO is the original single-queue FIFO, retained for
-	// comparison (BenchmarkCacheHitRateZipf sweeps both).
-	PolicyFIFO = "fifo"
-)
-
-// cache is what the server needs from a query cache; fifoCache and
-// s3fifoCache implement it. Both cache positive and negative answers:
-// the oracle is immutable, so entries never go stale and eviction exists
+// cache is the query cache: a fixed table of 8-way sets mapping a query
+// pair to its answer. It holds positive and negative answers alike: the
+// oracle is immutable, so entries never go stale and eviction exists
 // only to bound memory.
-type cache interface {
-	get(u, v uint32) (answer, ok bool)
-	put(u, v uint32, answer bool)
-	len() int
-	stats() CacheStats
+//
+// Every slot is one atomic word, so get and put take no lock and no
+// reader sees a torn entry. A slot stores the bits of the pair key's
+// fmix64 hash above the set index. fmix64 is a bijection, so the set
+// index plus the stored bits give back the whole key: a hit is exact,
+// never another pair's answer.
+//
+// Replacement is CLOCK inside a set: get sets the reference bit of the
+// slot it hits, and put evicts the first way whose bit is clear, clearing
+// the bits it passes, from a start way the pair's hash picks. Two
+// concurrent puts of one new pair can land in two ways; both hold the
+// same answer, so the duplicate costs a slot, never exactness.
+type cache struct {
+	// sets are 64-byte lines and the table is a power-of-two multiple of
+	// 512 bytes, which the Go allocator places on a line boundary.
+	sets  [][cacheWays]atomic.Uint64
+	mask  uint64 // len(sets)-1: the set index is hash&mask
+	shift uint   // log2(len(sets)): the tag is hash>>shift
 }
 
-// newCache builds the cache for the given policy; any policy other than
-// PolicyFIFO gets the S3-FIFO default (reachd validates the flag value,
-// so an unknown string here only arises from library misuse).
-func newCache(policy string, shards, capacity int) cache {
-	if policy == PolicyFIFO {
-		return newFIFOCache(shards, capacity)
+// newCache builds a table of capacity/8 sets, rounded down to a power of
+// two so the configured capacity stays an upper bound. It has at least
+// 2^slotFlagBits sets: the set index is then at least slotFlagBits wide,
+// so the tag fits beside the flags without dropping any key bit.
+func newCache(capacity int) *cache {
+	shift := uint(slotFlagBits)
+	for capacity>>(shift+1) >= cacheWays {
+		shift++
 	}
-	return newS3FIFOCache(shards, capacity)
+	return &cache{
+		sets:  make([][cacheWays]atomic.Uint64, 1<<shift),
+		mask:  1<<shift - 1,
+		shift: shift,
+	}
 }
 
-// shardLayout normalizes a (shards, capacity) request: the shard count
-// rounds up to a power of two, then shrinks while the capacity is
-// smaller than the shard count so the configured capacity stays an upper
-// bound. The per-shard capacities distribute the remainder so they sum
-// to exactly the configured capacity — CacheStats.Capacity must report
-// the real bound, not capacity/shards*shards.
-func shardLayout(shards, capacity int) (pow int, caps []int) {
-	if shards <= 0 {
-		shards = DefaultCacheShards
-	}
-	pow = 1
-	for pow < shards {
-		pow <<= 1
-	}
-	if capacity <= 0 {
-		capacity = DefaultCacheCapacity
-	}
-	for pow > 1 && capacity < pow {
-		pow >>= 1
-	}
-	caps = make([]int, pow)
-	base, extra := capacity/pow, capacity%pow
-	for i := range caps {
-		caps[i] = base
-		if i < extra {
-			caps[i]++
-		}
-	}
-	return pow, caps
-}
-
-func pairKey(u, v uint32) uint64 { return uint64(u)<<32 | uint64(v) }
-
-// shardIndex mixes the packed key (Murmur3's 64-bit finalizer: full
-// avalanche, so dense nearby pair keys still spread) and keeps the low
-// bits as the shard index. Two multiplies flat, against the eight-round
-// byte loop of the FNV-1a it replaced — the hash runs once per query on
-// the hot path, where the loop showed up on profiles.
-func shardIndex(k uint64, mask uint32) uint32 {
+// fmix64 is Murmur3's 64-bit finalizer: a bijection with full avalanche,
+// so dense nearby pair keys still spread across sets.
+func fmix64(k uint64) uint64 {
 	k ^= k >> 33
 	k *= 0xff51afd7ed558ccd
 	k ^= k >> 33
 	k *= 0xc4ceb9fe1a85ec53
 	k ^= k >> 33
-	return uint32(k) & mask
+	return k
 }
 
-// fifoCache is a sharded, fixed-capacity map from query pair to answer.
-// Shard selection hashes the packed pair so hot vertices spread across
-// shards; within a shard, eviction is FIFO via a ring of inserted keys.
-type fifoCache struct {
-	shards []fifoShard
-	mask   uint32
+// locate returns the pair's set and the slot word naming the pair: its
+// tag and the valid bit, with the answer and reference bits clear.
+func (c *cache) locate(u, v uint32) (*[cacheWays]atomic.Uint64, uint64) {
+	h := fmix64(uint64(u)<<32 | uint64(v))
+	return &c.sets[h&c.mask], h>>c.shift<<slotFlagBits | slotValid
 }
 
-type fifoShard struct {
-	mu   sync.Mutex
-	m    map[uint64]bool
-	ring []uint64 // insertion order, for FIFO eviction
-	pos  int
-	cap  int
-	// hit/miss counters live per shard, inside the padded struct and
-	// bumped under the shard mutex, so the hot path never touches a
-	// cache line shared across shards.
-	hits, misses int64
-	// pad the shard to its own cache lines so neighboring locks don't
-	// false-share.
-	_ [64]byte
-}
-
-func newFIFOCache(shards, capacity int) *fifoCache {
-	pow, caps := shardLayout(shards, capacity)
-	c := &fifoCache{shards: make([]fifoShard, pow), mask: uint32(pow - 1)}
-	for i := range c.shards {
-		c.shards[i].cap = caps[i]
-		// Sized lazily for the same reason as s3fifoShard.m: a
-		// capacity-sized table keeps small working sets DRAM-sparse.
-		c.shards[i].m = make(map[uint64]bool)
-		c.shards[i].ring = make([]uint64, 0, caps[i])
-	}
-	return c
-}
-
-// get returns the cached answer for (u, v) and whether one was present,
-// bumping the shard's hit or miss counter.
+// get returns the cached answer for (u, v) and whether one was present.
 //
 //reach:hotpath
-func (c *fifoCache) get(u, v uint32) (answer, ok bool) {
-	k := pairKey(u, v)
-	sh := &c.shards[shardIndex(k, c.mask)]
-	sh.mu.Lock()
-	answer, ok = sh.m[k]
-	if ok {
-		sh.hits++
-	} else {
-		sh.misses++
+func (c *cache) get(u, v uint32) (answer, ok bool) {
+	set, key := c.locate(u, v)
+	for i := range set {
+		w := set[i].Load()
+		if w&^(slotAnswer|slotRef) == key {
+			if w&slotRef == 0 {
+				// Losing this race only loses one reference mark.
+				set[i].CompareAndSwap(w, w|slotRef)
+			}
+			return w&slotAnswer != 0, true
+		}
 	}
-	sh.mu.Unlock()
-	return answer, ok
+	return false, false
 }
 
-// put stores the answer for (u, v), evicting the shard's oldest entry
-// once the shard is full.
-func (c *fifoCache) put(u, v uint32, answer bool) {
-	k := pairKey(u, v)
-	sh := &c.shards[shardIndex(k, c.mask)]
-	sh.mu.Lock()
-	if _, exists := sh.m[k]; !exists {
-		// shardLayout guarantees cap >= 1, so the ring is never empty
-		// at replacement time.
-		if len(sh.ring) < sh.cap {
-			sh.ring = append(sh.ring, k)
-		} else {
-			delete(sh.m, sh.ring[sh.pos])
-			sh.ring[sh.pos] = k
-			sh.pos++
-			if sh.pos == sh.cap {
-				sh.pos = 0
+// put stores the answer for (u, v) in an empty way or the way that
+// already holds the pair, and otherwise evicts by CLOCK. A put that
+// loses a race for its slot is dropped: the cache is only a shortcut.
+//
+//reach:hotpath
+func (c *cache) put(u, v uint32, answer bool) {
+	set, key := c.locate(u, v)
+	w := key
+	if answer {
+		w |= slotAnswer
+	}
+	// Slots are never emptied and put fills the first empty way, so the
+	// occupied ways are a prefix of the set: past an empty way no later
+	// way can hold the pair.
+	for i := range set {
+		old := set[i].Load()
+		if old == 0 || old&^(slotAnswer|slotRef) == key {
+			set[i].CompareAndSwap(old, w|old&slotRef)
+			return
+		}
+	}
+	// The pass starts at a way picked by the pair's own hash bits, so
+	// evictions spread over the set instead of churning way 0.
+	start := (key >> slotFlagBits) % cacheWays
+	for j := range uint64(cacheWays) {
+		i := (start + j) % cacheWays
+		old := set[i].Load()
+		if old&slotRef == 0 {
+			set[i].CompareAndSwap(old, w)
+			return
+		}
+		set[i].CompareAndSwap(old, old&^slotRef)
+	}
+	// Every way was referenced and the pass cleared them all, so the
+	// start way is now the first whose bit is clear.
+	set[start].Store(w)
+}
+
+// capacity is the table's slot count.
+func (c *cache) capacity() int { return len(c.sets) * cacheWays }
+
+// len counts occupied slots in one pass over the table.
+func (c *cache) len() int {
+	n := 0
+	for i := range c.sets {
+		for j := range c.sets[i] {
+			if c.sets[i][j].Load() != 0 {
+				n++
 			}
 		}
 	}
-	sh.m[k] = answer
-	sh.mu.Unlock()
+	return n
 }
 
-// len counts cached entries across all shards.
-func (c *fifoCache) len() int {
-	total := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		total += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return total
-}
-
-// CacheStats is the cache section of /v1/stats. Small, Main and Ghost
-// report the S3-FIFO segment sizes; they are always present (zero is a
-// meaningful segment size on an idle server) and stay zero under the
-// FIFO policy.
+// CacheStats is the cache section of /v1/stats.
 type CacheStats struct {
-	Policy   string  `json:"policy"`
-	Shards   int     `json:"shards"`
 	Capacity int     `json:"capacity"`
 	Entries  int     `json:"entries"`
-	Small    int     `json:"small"`
-	Main     int     `json:"main"`
-	Ghost    int     `json:"ghost"`
 	Hits     int64   `json:"hits"`
 	Misses   int64   `json:"misses"`
 	HitRate  float64 `json:"hit_rate"`
-}
-
-func (c *fifoCache) stats() CacheStats {
-	s := CacheStats{Policy: PolicyFIFO, Shards: len(c.shards)}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		s.Capacity += sh.cap
-		s.Entries += len(sh.m)
-		s.Hits += sh.hits
-		s.Misses += sh.misses
-		sh.mu.Unlock()
-	}
-	if total := s.Hits + s.Misses; total > 0 {
-		s.HitRate = float64(s.Hits) / float64(total)
-	}
-	return s
 }

@@ -23,6 +23,8 @@ type metrics struct {
 	errors        atomic.Int64 // requests rejected with 4xx/5xx
 	rejected      atomic.Int64 // 429s from the max-in-flight gate (not in errors)
 	timedOut      atomic.Int64 // requests abandoned at their deadline (also in errors)
+	cacheHits     atomic.Int64
+	cacheMisses   atomic.Int64
 
 	// Wire-level batch traffic accounting, split by encoding so a -wire
 	// ablation (or a mixed fleet) shows up directly in /metrics. rx is
@@ -106,12 +108,10 @@ func newMetrics() *metrics {
 // its setup.
 func (m *metrics) registerServer(s *Server) {
 	if s.cache != nil {
-		m.reg.CounterFunc("reach_cache_hits_total", "Query cache hits.", nil,
-			func() int64 { return s.cache.stats().Hits })
-		m.reg.CounterFunc("reach_cache_misses_total", "Query cache misses.", nil,
-			func() int64 { return s.cache.stats().Misses })
+		m.reg.CounterFunc("reach_cache_hits_total", "Query cache hits.", nil, m.cacheHits.Load)
+		m.reg.CounterFunc("reach_cache_misses_total", "Query cache misses.", nil, m.cacheMisses.Load)
 		m.reg.GaugeFunc("reach_cache_entries", "Entries resident in the query cache.", nil,
-			func() float64 { return float64(s.cache.stats().Entries) })
+			func() float64 { return float64(s.cache.len()) })
 	}
 	if s.gate != nil {
 		m.reg.GaugeFunc("reach_in_flight", "Query requests currently holding a gate slot.", nil,
@@ -155,14 +155,30 @@ func (m *metrics) registerMux(ms *mux.Server) {
 		obs.Labels{"direction": "tx"}, t.BytesTx.Load)
 }
 
-// record tallies one answered pair-query.
 // recordChunk folds one chunk's (or one single query's) local query
-// counters into the server-wide atomics in one shot, keeping atomic
-// traffic out of the per-pair loop.
+// and cache counters into the server-wide atomics in one shot, keeping
+// atomic traffic out of the per-pair loop.
 func (m *metrics) recordChunk(cs *chunkStats) {
 	m.queries.Add(cs.queries)
 	m.positive.Add(cs.positive)
 	m.negative.Add(cs.queries - cs.positive)
+	m.cacheHits.Add(cs.cacheHits)
+	m.cacheMisses.Add(cs.cacheMisses)
+}
+
+// cacheStats is the cache section of /v1/stats: the table's size and
+// occupancy with the hit and miss counts recordChunk folded in.
+func (m *metrics) cacheStats(c *cache) CacheStats {
+	s := CacheStats{
+		Capacity: c.capacity(),
+		Entries:  c.len(),
+		Hits:     m.cacheHits.Load(),
+		Misses:   m.cacheMisses.Load(),
+	}
+	if total := s.Hits + s.Misses; total > 0 {
+		s.HitRate = float64(s.Hits) / float64(total)
+	}
+	return s
 }
 
 // ServerStats is the server section of /v1/stats.

@@ -1,7 +1,7 @@
 // Package server is the reachd query-serving core: it wraps an immutable
-// reach.Oracle with a sharded positive/negative query cache and a worker
-// pool for batch execution, and exposes both over a small HTTP/JSON API
-// (/v1/reachable, /v1/batch, /v1/stats, /v1/healthz).
+// reach.Oracle with a lock-free positive/negative query cache and a
+// worker pool for batch execution, and exposes both over a small
+// HTTP/JSON API (/v1/reachable, /v1/batch, /v1/stats, /v1/healthz).
 //
 // The layering mirrors O'Reach's observation that cheap caching/filter
 // frontends multiply the real-world throughput of a microsecond-query
@@ -29,13 +29,9 @@ import (
 type Config struct {
 	// Workers sizes the batch worker pool (default GOMAXPROCS).
 	Workers int
-	// CachePolicy selects the cache admission policy: PolicyS3FIFO
-	// (default) or PolicyFIFO.
-	CachePolicy string
-	// CacheShards is the cache shard count (default 64).
-	CacheShards int
-	// CacheCapacity bounds total cached answers (default 1<<20).
-	// Negative disables the cache entirely.
+	// CacheCapacity bounds total cached answers (default 1<<20); the
+	// table rounds it down to a power of two, at least 64. Negative
+	// disables the cache entirely.
 	CacheCapacity int
 	// BatchChunk is how many pairs one worker task handles (default 256).
 	BatchChunk int
@@ -97,8 +93,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatchPairs <= 0 {
 		c.MaxBatchPairs = 1 << 20
 	}
-	if c.CachePolicy == "" {
-		c.CachePolicy = PolicyS3FIFO
+	if c.CacheCapacity == 0 {
+		c.CacheCapacity = DefaultCacheCapacity
 	}
 	if c.SlowQueryThreshold > 0 && c.SlowQueryWriter == nil {
 		c.SlowQueryWriter = os.Stderr
@@ -123,7 +119,7 @@ const DefaultGateTimeout = 30 * time.Second
 type Server struct {
 	g      *reach.Graph
 	oracle *reach.Oracle
-	cache  cache // nil when disabled
+	cache  *cache // nil when disabled
 	met    *metrics
 	cfg    Config
 
@@ -164,7 +160,7 @@ func New(g *reach.Graph, oracle *reach.Oracle, cfg Config) *Server {
 	}
 	s.met.slow = obs.NewSlowLog(cfg.SlowQueryWriter, cfg.SlowQueryThreshold)
 	if cfg.CacheCapacity >= 0 {
-		s.cache = newCache(cfg.CachePolicy, cfg.CacheShards, cfg.CacheCapacity)
+		s.cache = newCache(cfg.CacheCapacity)
 	}
 	if cfg.MaxInFlight > 0 {
 		s.gate = make(chan struct{}, cfg.MaxInFlight)
@@ -253,10 +249,11 @@ type queryTrace struct {
 // chunkStats is one chunk's (or one single query's) local accumulator,
 // folded into the request's queryTrace and the server counters when the
 // chunk finishes. Batching the fold keeps the per-pair loop free of
-// atomic traffic: three atomic adds per chunk instead of two per pair.
+// shared counters: one atomic add per counter per chunk, none per pair.
 type chunkStats struct {
-	cacheNs, probeNs, cacheHits int64
-	queries, positive           int64
+	cacheNs, probeNs       int64
+	cacheHits, cacheMisses int64
+	queries, positive      int64
 }
 
 func (t *queryTrace) add(cs *chunkStats) {
@@ -315,6 +312,7 @@ func (s *Server) reachable(u, v uint32, cs *chunkStats) (reachable, cached bool)
 			}
 			return ans, true
 		}
+		cs.cacheMisses++
 	}
 	var t0 time.Time
 	if sample {
@@ -478,7 +476,7 @@ func observerStats(o *reach.Oracle) *ObserverStats {
 func (s *Server) Stats() Stats {
 	var cs CacheStats
 	if s.cache != nil {
-		cs = s.cache.stats()
+		cs = s.met.cacheStats(s.cache)
 	}
 	return Stats{
 		Graph: GraphStats{
