@@ -43,7 +43,7 @@ type localFleet struct {
 // loopback stream-transport listener (advertised via healthz, so the
 // router negotiates it exactly as a production fleet would); false keeps
 // all router→replica traffic on HTTP.
-func startLocalFleet(graphPath, snapPath, method string, n int, noObservers bool, wire string, useMux bool) (*localFleet, error) {
+func startLocalFleet(graphPath, snapPath, method string, n int, noObservers, useMux bool) (*localFleet, error) {
 	if graphPath == "" {
 		return nil, fmt.Errorf("-replicas requires -graph (the fleet needs a graph to build its snapshot from)")
 	}
@@ -132,7 +132,6 @@ func startLocalFleet(graphPath, snapPath, method string, n int, noObservers bool
 
 	rt, err := fleet.New(context.Background(), fleet.Config{
 		Replicas:      bases,
-		Wire:          wire,
 		ProbeInterval: 200 * time.Millisecond,
 		Logf:          func(string, ...any) {}, // probes are noise in a bench run
 	})

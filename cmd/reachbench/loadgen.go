@@ -5,11 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"os"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -17,7 +15,6 @@ import (
 
 	reach "repro"
 	"repro/internal/obs"
-	"repro/internal/wireproto"
 )
 
 // loadGen drives a running reachd in a closed loop: each client POSTs a
@@ -30,10 +27,6 @@ type loadGen struct {
 	batch    int
 	duration time.Duration
 	seed     int64
-	// wire is the requested batch encoding ("binary" or "json");
-	// negotiateWire resolves it down to JSON when the target doesn't
-	// advertise binary frames or the ID universe doesn't fit uint32.
-	wire string
 }
 
 type statsPayload struct {
@@ -123,39 +116,6 @@ func (lg *loadGen) vertexIDs(vertices int) ([]uint64, error) {
 	return ids, nil
 }
 
-// negotiateWire decides the encoding this run actually uses: binary only
-// when it was requested, every sampled ID fits the frame's uint32 fields,
-// and the target's /v1/healthz advertises "binary" in its wire list — the
-// same capability handshake reachrouter performs at enrollment. A router
-// target never advertises it (the binary protocol is router↔replica
-// interior traffic; the edge stays JSON), so fleet runs fall back here
-// with a note rather than a failed request.
-func (lg *loadGen) negotiateWire(ids []uint64) string {
-	if lg.wire != "binary" {
-		return "json"
-	}
-	for _, id := range ids {
-		if id > math.MaxUint32 {
-			fmt.Println("note: vertex IDs exceed uint32; binary frames cannot carry them — using JSON batches")
-			return "json"
-		}
-	}
-	resp, err := http.Get(lg.base + "/v1/healthz")
-	if err != nil {
-		fmt.Println("note: healthz probe failed; using JSON batches")
-		return "json"
-	}
-	defer resp.Body.Close()
-	var hz struct {
-		Wire []string `json:"wire"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&hz); err == nil && slices.Contains(hz.Wire, "binary") {
-		return "binary"
-	}
-	fmt.Println("note: target does not advertise binary batch frames; using JSON batches")
-	return "json"
-}
-
 func (lg *loadGen) run() error {
 	st, err := lg.fetchStats()
 	if err != nil {
@@ -189,17 +149,16 @@ func (lg *loadGen) run() error {
 		method = st.Fleet.Method
 		target = fmt.Sprintf("fleet of %d", st.Fleet.ReplicasHealthy)
 	}
-	wire := lg.negotiateWire(ids)
-	fmt.Printf("load-generating against %s (%s): method=%s vertices=%d clients=%d batch=%d duration=%s wire=%s\n",
-		lg.base, target, method, st.Graph.Vertices, lg.clients, lg.batch, lg.duration, wire)
+	fmt.Printf("load-generating against %s (%s): method=%s vertices=%d clients=%d batch=%d duration=%s\n",
+		lg.base, target, method, st.Graph.Vertices, lg.clients, lg.batch, lg.duration)
 
 	var (
 		queries  atomic.Int64
 		requests atomic.Int64
 		rejected atomic.Int64 // 429s from the server's admission gate
 		failures atomic.Int64
-		bytesOut atomic.Int64 // request-body bytes sent, either encoding
-		bytesIn  atomic.Int64 // response-body bytes drained, either encoding
+		bytesOut atomic.Int64 // request-body bytes sent
+		bytesIn  atomic.Int64 // response-body bytes drained
 		wg       sync.WaitGroup
 	)
 	// One shared lock-free histogram of successful request latencies: a
@@ -220,14 +179,6 @@ func (lg *loadGen) run() error {
 			rng := rand.New(rand.NewSource(seed))
 			client := &http.Client{Timeout: 30 * time.Second}
 			pairs := make([][2]uint64, lg.batch)
-			// Binary-mode buffers, reused across requests: the narrowed
-			// pairs and one frame sized for the whole batch.
-			var frame []byte
-			var p32 [][2]uint32
-			if wire == "binary" {
-				frame = make([]byte, wireproto.RequestSize(lg.batch))
-				p32 = make([][2]uint32, lg.batch)
-			}
 			// Drain before closing so the transport can reuse the
 			// connection (otherwise every request pays a TCP handshake),
 			// counting the drained bytes as response traffic.
@@ -240,25 +191,12 @@ func (lg *loadGen) run() error {
 				for i := range pairs {
 					pairs[i] = [2]uint64{ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]}
 				}
-				var resp *http.Response
-				var err error
-				var reqStart time.Time
-				if wire == "binary" {
-					for i, p := range pairs {
-						p32[i] = [2]uint32{uint32(p[0]), uint32(p[1])}
-					}
-					n := wireproto.EncodeRequest(frame, p32)
-					bytesOut.Add(int64(n))
-					reqStart = time.Now()
-					resp, err = client.Post(lg.base+"/v1/batch", wireproto.ContentType, bytes.NewReader(frame[:n]))
-				} else {
-					payload, _ := json.Marshal(struct {
-						Pairs [][2]uint64 `json:"pairs"`
-					}{pairs})
-					bytesOut.Add(int64(len(payload)))
-					reqStart = time.Now()
-					resp, err = client.Post(lg.base+"/v1/batch", "application/json", bytes.NewReader(payload))
-				}
+				payload, _ := json.Marshal(struct {
+					Pairs [][2]uint64 `json:"pairs"`
+				}{pairs})
+				bytesOut.Add(int64(len(payload)))
+				reqStart := time.Now()
+				resp, err := client.Post(lg.base+"/v1/batch", "application/json", bytes.NewReader(payload))
 				if err != nil {
 					failures.Add(1)
 					// Back off instead of busy-looping on a dead server.
@@ -299,11 +237,9 @@ func (lg *loadGen) run() error {
 	fmt.Printf("throughput: %.0f queries/sec (%.1f requests/sec)\n",
 		float64(queries.Load())/elapsed.Seconds(),
 		float64(requests.Load())/elapsed.Seconds())
-	// Wire cost per request, both directions — the number the binary
-	// encoding exists to shrink (compare a -wire=json run).
 	if attempts := requests.Load() + rejected.Load() + failures.Load(); attempts > 0 {
-		fmt.Printf("wire: %s — %d bytes/op sent, %d bytes/op received\n",
-			wire, bytesOut.Load()/attempts, bytesIn.Load()/attempts)
+		fmt.Printf("wire: %d bytes/op sent, %d bytes/op received\n",
+			bytesOut.Load()/attempts, bytesIn.Load()/attempts)
 	}
 	if snap := lat.Snapshot(); snap.Count > 0 {
 		q := func(p float64) time.Duration {

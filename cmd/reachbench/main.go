@@ -54,17 +54,12 @@ func main() {
 		fleetMeth  = flag.String("method", "DL", "index method for the -replicas fleet snapshot")
 		fleetSnap  = flag.String("snapshot", "", "snapshot path for the -replicas fleet (reused if it exists; default: temp file)")
 		noObs      = flag.Bool("no-observers", false, "disable the observer fast path on the -replicas fleet (end-to-end ablation)")
-		wire       = flag.String("wire", "binary", "batch encoding toward the target: binary (JSON fallback when unsupported) or json (ablation)")
 		muxOn      = flag.Bool("mux", true, "give the -replicas fleet stream-transport listeners so the router pipelines batches over persistent connections (false: HTTP only)")
 	)
 	flag.Parse()
-	if *wire != "binary" && *wire != "json" {
-		fmt.Fprintf(os.Stderr, "reachbench: unknown -wire %q (want binary or json)\n", *wire)
-		os.Exit(1)
-	}
 
 	if *replicas > 0 {
-		lf, err := startLocalFleet(*graphFile, *fleetSnap, *fleetMeth, *replicas, *noObs, *wire, *muxOn)
+		lf, err := startLocalFleet(*graphFile, *fleetSnap, *fleetMeth, *replicas, *noObs, *muxOn)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "reachbench: %v\n", err)
 			os.Exit(1)
@@ -77,7 +72,6 @@ func main() {
 			batch:    *batch,
 			duration: *duration,
 			seed:     *seed,
-			wire:     *wire,
 		}
 		if err := lg.run(); err != nil {
 			lf.stop()
@@ -96,7 +90,6 @@ func main() {
 			batch:    *batch,
 			duration: *duration,
 			seed:     *seed,
-			wire:     *wire,
 		}
 		if err := lg.run(); err != nil {
 			fmt.Fprintf(os.Stderr, "reachbench: %v\n", err)

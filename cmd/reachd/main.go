@@ -16,7 +16,7 @@
 // -mux-addr additionally listens for the raw-TCP stream transport
 // (docs/WIRE.md, "Stream transport"): routers that learn the address
 // from /v1/healthz pipeline batches over a few persistent connections
-// instead of one HTTP request each. Requires -wire=binary (the default).
+// instead of one HTTP request each.
 //
 // If -snapshot names an existing snapshot of the same graph and method,
 // it is memory-mapped and serving starts in milliseconds — the snapshot
@@ -82,23 +82,11 @@ func main() {
 		slowTO    = flag.Duration("slow-query-log", 0, "log queries slower than this as JSON lines on stderr (0 disables)")
 		pprof     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		observers = flag.String("observers", "on", "observer fast path in front of the index: on or off")
-		wire      = flag.String("wire", "binary", "accept binary batch frames on /v1/batch: binary (JSON still accepted) or json (binary answered 415)")
 		muxAddr   = flag.String("mux-addr", "", "listen address for the raw-TCP stream transport (e.g. :9090); advertised via /v1/healthz, empty disables")
 	)
 	flag.Parse()
-	if *muxAddr != "" && *wire == "json" {
-		// The stream transport carries binary frames; offering it while
-		// refusing the encoding would advertise a listener that rejects
-		// every batch.
-		fmt.Fprintf(os.Stderr, "reachd: -mux-addr requires -wire=binary\n")
-		os.Exit(1)
-	}
 	if *observers != "on" && *observers != "off" {
 		fmt.Fprintf(os.Stderr, "reachd: unknown -observers %q (want on or off)\n", *observers)
-		os.Exit(1)
-	}
-	if *wire != "binary" && *wire != "json" {
-		fmt.Fprintf(os.Stderr, "reachd: unknown -wire %q (want binary or json)\n", *wire)
 		os.Exit(1)
 	}
 	// An unset -method means "whatever the snapshot holds" when loading,
@@ -117,7 +105,6 @@ func main() {
 		MaxInFlight:        *inflight,
 		SlowQueryThreshold: *slowTO,
 		EnablePprof:        *pprof,
-		DisableBinaryWire:  *wire == "json",
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "reachd: %v\n", err)
 		os.Exit(1)

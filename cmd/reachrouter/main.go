@@ -13,12 +13,14 @@
 //	            [-addr :8090] [-probe-interval 1s] [-probe-timeout 2s]
 //	            [-max-probe-backoff 30s] [-attempts 3] [-min-subbatch 64]
 //	            [-max-batch 1048576] [-upstream-timeout 30s]
-//	            [-slow-query-log 100ms] [-pprof] [-wire binary] [-mux]
+//	            [-slow-query-log 100ms] [-pprof]
 //
-// Replicas whose /v1/healthz advertises a stream-transport listener
-// (reachd -mux-addr) get their sub-batches over a few persistent
-// raw-TCP connections with per-batch HTTP fallback; -mux=false forces
-// HTTP everywhere (docs/WIRE.md, "Stream transport").
+// Sub-batches travel to replicas as binary frames (docs/WIRE.md), or
+// as JSON when a batch holds a vertex ID wider than 32 bits. Replicas
+// whose /v1/healthz advertises a stream-transport listener (reachd
+// -mux-addr) get their frames over a few persistent raw-TCP connections
+// with per-batch HTTP fallback; the rest get one HTTP request per
+// sub-batch.
 //
 // The router serves the same v1 API as a single reachd — /v1/healthz,
 // /v1/reachable, /v1/batch, /v1/stats, /metrics — so clients point at
@@ -65,13 +67,9 @@ func main() {
 		upstreamTO = flag.Duration("upstream-timeout", 30*time.Second, "per-request timeout toward a replica (0 = none)")
 		slowTO     = flag.Duration("slow-query-log", 0, "log routed requests slower than this as JSON lines on stderr (0 disables)")
 		pprof      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		wire       = flag.String("wire", fleet.WireBinary, "encoding for replica sub-batches: binary (JSON fallback per replica) or json (ablation: force JSON everywhere)")
-		muxOn      = flag.Bool("mux", true, "use the persistent stream transport to replicas that advertise it (false forces HTTP for every batch)")
 	)
 	flag.Parse()
 	if err := run(*addr, *replicas, fleet.Config{
-		Wire:               *wire,
-		DisableMux:         !*muxOn,
 		ProbeInterval:      *probeIvl,
 		ProbeTimeout:       *probeTO,
 		MaxProbeBackoff:    *maxBackoff,

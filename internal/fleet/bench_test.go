@@ -14,21 +14,18 @@ import (
 	"repro/internal/server"
 )
 
-// benchWireMux is the stream-transport dimension of the wire benchmarks:
-// binary frames over persistent mux connections instead of HTTP requests.
-const benchWireMux = "mux"
+// benchWires are the transport rows of the wire benchmarks, named by
+// their sub-benchmark keys: binary frames over persistent mux
+// connections, and binary frames over one HTTP request each.
+var benchWires = []string{"mux", "binary"}
 
 // benchFleet stands up n real replicas (shared immutable oracle, the
-// same thing N mmaps of one snapshot give) and a router over them
-// speaking the given wire encoding to replicas; benchWireMux gives each
-// replica a stream-transport listener and lets the router negotiate it
-// from healthz, exactly as a production fleet would.
-func benchFleet(b *testing.B, n int, wire string) (*Router, *reach.Graph) {
+// same thing N mmaps of one snapshot give) and a router over them.
+// useMux gives each replica a stream-transport listener and lets the
+// router negotiate it from healthz, exactly as a production fleet
+// would; without it every batch goes over HTTP.
+func benchFleet(b *testing.B, n int, useMux bool) (*Router, *reach.Graph) {
 	b.Helper()
-	useMux := wire == benchWireMux
-	if useMux {
-		wire = WireBinary
-	}
 	raw := gen.CitationDAG(5000, 4, 0.5, 3)
 	edges := make([][2]uint32, 0, raw.NumEdges())
 	raw.Edges(func(u, v graph.Vertex) bool {
@@ -68,7 +65,7 @@ func benchFleet(b *testing.B, n int, wire string) (*Router, *reach.Graph) {
 		b.Cleanup(func() { ts.Close(); s.Close() })
 		bases = append(bases, ts.URL)
 	}
-	cfg := Config{Replicas: bases, Wire: wire, DisableMux: !useMux, Logf: func(string, ...any) {}}
+	cfg := Config{Replicas: bases, Logf: func(string, ...any) {}}
 	rt, err := New(context.Background(), cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -88,26 +85,25 @@ func benchPairs(g *reach.Graph, size int) [][2]uint64 {
 }
 
 // BenchmarkRouterBatch measures the scatter-gather fan-out overhead: one
-// batch through a router fronting 1 vs 3 replicas, on every wire
-// encoding, with the pairs/op rate making throughput comparable to the
+// batch through a router fronting 1 vs 3 replicas, on both transports,
+// with the pairs/op rate making throughput comparable to the
 // single-node BenchmarkServerBatch. replicas=1 isolates the router's own
 // hop (proxy + merge cost); replicas=3 adds the scatter across the
-// fleet; wire=json vs wire=binary is the encoding ablation the binary
-// protocol exists for, and wire=mux sends the same binary frames over
-// persistent stream-transport connections — the transport ablation on
-// top. The two batch sizes separate the regimes: at 512 pairs the
-// per-request transport overhead dominates (where mux earns its keep),
-// at 4096 the replica's serving compute does (where the transports
-// converge). One untimed priming batch warms the replica caches (and,
-// for mux, dials the connection pool) so the loop measures steady-state
-// serving, not oracle warmup — the wire comparison is meaningless if
-// iteration one buries both encodings under index probes.
+// fleet; wire=mux vs wire=binary is the transport ablation: the same
+// binary frames over persistent stream-transport connections or one
+// HTTP request each. The two batch sizes separate the regimes: at 512
+// pairs the per-request transport overhead dominates (where mux earns
+// its keep), at 4096 the replica's serving compute does (where the
+// transports converge). One untimed priming batch warms the replica
+// caches (and, for mux, dials the connection pool) so the loop measures
+// steady-state serving, not oracle warmup — the transport comparison is
+// meaningless if iteration one buries both under index probes.
 func BenchmarkRouterBatch(b *testing.B) {
 	for _, n := range []int{1, 3} {
-		for _, wire := range []string{benchWireMux, WireBinary, WireJSON} {
+		for _, wire := range benchWires {
 			for _, batch := range []int{512, 4096} {
 				b.Run(fmt.Sprintf("replicas=%d/wire=%s/batch=%d", n, wire, batch), func(b *testing.B) {
-					rt, g := benchFleet(b, n, wire)
+					rt, g := benchFleet(b, n, wire == "mux")
 					pairs := benchPairs(g, batch)
 					ctx := context.Background()
 					// Priming, repeated enough times that every replica's
@@ -138,9 +134,9 @@ func BenchmarkRouterBatch(b *testing.B) {
 // BenchmarkRouterBatch/replicas=1 is the router's added hop.
 func BenchmarkDirectBatch(b *testing.B) {
 	const batch = 4096
-	for _, wire := range []string{benchWireMux, WireBinary, WireJSON} {
+	for _, wire := range benchWires {
 		b.Run("wire="+wire, func(b *testing.B) {
-			rt, g := benchFleet(b, 1, wire)
+			rt, g := benchFleet(b, 1, wire == "mux")
 			pairs := benchPairs(g, batch)
 			c := rt.replicas[0].client
 			ctx := context.Background()

@@ -43,12 +43,6 @@ type Client struct {
 	base string
 	hc   *http.Client
 
-	// binaryWire selects wireproto frames for Batch. The router sets it
-	// from the replica's healthz "wire" capability at every probe; the
-	// client clears it itself on a 415 (the replica's definitive "I
-	// don't speak binary") and retries the batch as JSON.
-	binaryWire atomic.Bool
-
 	// muxPool, when set, is the persistent stream-transport connection
 	// pool to this replica (internal/mux): Batch tries it before HTTP and
 	// falls back per batch when no connection is available. The router
@@ -66,19 +60,11 @@ type Client struct {
 
 // NewClient returns a client for the replica at base (e.g.
 // "http://10.0.0.3:8080"). timeout bounds each request end-to-end; zero
-// means no timeout. Batches go as JSON until UseBinaryWire(true).
+// means no timeout. Batches go as wireproto frames over HTTP until
+// UseMux installs a stream-transport pool.
 func NewClient(base string, timeout time.Duration) *Client {
 	return &Client{base: base, hc: &http.Client{Timeout: timeout}, counters: &wireCounters{}}
 }
-
-// UseBinaryWire switches Batch between wireproto frames and JSON. Turn
-// it on only for replicas whose healthz advertises the "binary" wire
-// capability; the client demotes itself back to JSON if the replica
-// answers 415 anyway (e.g. restarted with -wire=json between probes).
-func (c *Client) UseBinaryWire(on bool) { c.binaryWire.Store(on) }
-
-// BinaryWire reports whether Batch currently encodes wireproto frames.
-func (c *Client) BinaryWire() bool { return c.binaryWire.Load() }
 
 // UseMux points Batch at the replica's stream-transport listener:
 // subsequent batches go over persistent mux connections (dialed lazily,
@@ -248,54 +234,51 @@ func (c *Client) Reachable(ctx context.Context, u, v uint64) (server.ReachableRe
 // protocol violation and is reported as an error rather than silently
 // misaligned.
 //
-// With the binary wire negotiated (see UseBinaryWire), pairs go as one
-// wireproto frame; JSON remains the fallback for replicas that answer
-// 415 and for batches whose IDs exceed the frame format's uint32 range.
+// The encoding follows from the batch alone: pairs go as one wireproto
+// frame, or as JSON when any ID exceeds the frame format's uint32 range
+// (the JSON path carries u64 IDs). Every replica is built from this
+// repository, so it parses both; one that refuses a frame answers an
+// error status, which surfaces as *StatusError like any other replica
+// verdict.
 //
-// With a mux pool installed on top (see UseMux), the frame goes over a
+// With a mux pool installed (see UseMux), the frame goes over a
 // persistent stream-transport connection instead of an HTTP request;
 // when no connection is available (dial failure, backoff window, a
-// connection that just died) the batch falls back to HTTP binary — the
+// connection that just died) the batch falls back to HTTP — the
 // fallback is per batch, so the transport self-heals without the router
 // noticing.
 func (c *Client) Batch(ctx context.Context, pairs [][2]uint64) ([]bool, error) {
-	if c.binaryWire.Load() {
-		if p := c.muxPool.Load(); p != nil {
-			results, ok, err := c.batchMux(ctx, p, pairs)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return results, nil
-			}
-			// Fell through: no usable connection or wide IDs — try HTTP.
-		}
-		results, ok, err := c.batchBinary(ctx, pairs)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return results, nil
-		}
-		// Fell through: wide IDs (this batch only) or a 415 (the client
-		// demoted itself to JSON for good).
+	sc := clientScratchPool.Get().(*clientScratch)
+	defer clientScratchPool.Put(sc)
+	n := len(pairs)
+	if cap(sc.pairs) < n {
+		sc.pairs = make([][2]uint32, n)
 	}
-	return c.batchJSON(ctx, pairs)
+	p32 := sc.pairs[:n]
+	for i, p := range pairs {
+		if p[0] > math.MaxUint32 || p[1] > math.MaxUint32 {
+			return c.batchJSON(ctx, pairs)
+		}
+		p32[i] = [2]uint32{uint32(p[0]), uint32(p[1])}
+	}
+	if p := c.muxPool.Load(); p != nil {
+		results, ok, err := c.batchMux(ctx, p, p32)
+		if ok || err != nil {
+			return results, err
+		}
+		// Fell through: no usable connection — try HTTP.
+	}
+	return c.batchBinary(ctx, sc, p32)
 }
 
 // batchMux sends pairs over the stream transport. ok=false with a nil
 // error means "try HTTP instead, this batch": the pool has no usable
-// connection right now (it redials in the background), the connection
-// died mid-flight (a transport error, not a replica verdict), or the
-// batch carries IDs wider than the frame format's uint32. Replica
-// verdicts — error frames — surface as *StatusError exactly like HTTP
-// statuses, so the router's retry/failover policy is transport-blind.
-func (c *Client) batchMux(ctx context.Context, p *mux.Pool, pairs [][2]uint64) (results []bool, ok bool, err error) {
-	for _, pr := range pairs {
-		if pr[0] > math.MaxUint32 || pr[1] > math.MaxUint32 {
-			return nil, false, nil
-		}
-	}
+// connection right now (it redials in the background), or the
+// connection died mid-flight (a transport error, not a replica verdict).
+// Replica verdicts — error frames — surface as *StatusError exactly like
+// HTTP statuses, so the router's retry/failover policy is
+// transport-blind.
+func (c *Client) batchMux(ctx context.Context, p *mux.Pool, pairs [][2]uint32) (results []bool, ok bool, err error) {
 	cn, err := p.Get(ctx)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
@@ -303,18 +286,8 @@ func (c *Client) batchMux(ctx context.Context, p *mux.Pool, pairs [][2]uint64) (
 		}
 		return nil, false, nil // no connection: backoff window or dial failure
 	}
-	n := len(pairs)
-	sc := clientScratchPool.Get().(*clientScratch)
-	defer clientScratchPool.Put(sc)
-	if cap(sc.pairs) < n {
-		sc.pairs = make([][2]uint32, n)
-	}
-	p32 := sc.pairs[:n]
-	for i, pr := range pairs {
-		p32[i] = [2]uint32{uint32(pr[0]), uint32(pr[1])}
-	}
-	out := make([]bool, n)
-	if err := cn.Batch(ctx, p32, out, obs.TraceFrom(ctx)); err != nil {
+	out := make([]bool, len(pairs))
+	if err := cn.Batch(ctx, pairs, out, obs.TraceFrom(ctx)); err != nil {
 		var f *mux.Fail
 		if errors.As(err, &f) {
 			// The replica answered and refused — same verdict it would
@@ -384,36 +357,20 @@ type clientScratch struct {
 
 var clientScratchPool = sync.Pool{New: func() any { return new(clientScratch) }}
 
-// batchBinary sends pairs as one wireproto request frame. ok=false with
-// a nil error means "send this (and maybe every future) batch as JSON
-// instead": the batch carries IDs wider than the frame format's uint32,
-// or the replica answered 415 and the client demoted itself.
-func (c *Client) batchBinary(ctx context.Context, pairs [][2]uint64) (results []bool, ok bool, err error) {
-	for _, p := range pairs {
-		if p[0] > math.MaxUint32 || p[1] > math.MaxUint32 {
-			return nil, false, nil
-		}
-	}
+// batchBinary sends pairs as one wireproto request frame over HTTP,
+// encoding into sc's frame buffer.
+func (c *Client) batchBinary(ctx context.Context, sc *clientScratch, pairs [][2]uint32) ([]bool, error) {
 	n := len(pairs)
-	sc := clientScratchPool.Get().(*clientScratch)
-	defer clientScratchPool.Put(sc)
-	if cap(sc.pairs) < n {
-		sc.pairs = make([][2]uint32, n)
-	}
-	p32 := sc.pairs[:n]
-	for i, p := range pairs {
-		p32[i] = [2]uint32{uint32(p[0]), uint32(p[1])}
-	}
 	size := wireproto.RequestSize(n)
 	if cap(sc.frame) < size {
 		sc.frame = make([]byte, size)
 	}
 	frame := sc.frame[:size]
-	wireproto.EncodeRequest(frame, p32)
+	wireproto.EncodeRequest(frame, pairs)
 
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/batch", bytes.NewReader(frame))
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", wireproto.ContentType)
 	if id := obs.TraceFrom(ctx); id != "" {
@@ -423,20 +380,13 @@ func (c *Client) batchBinary(ctx context.Context, pairs [][2]uint64) (results []
 	c.counters.txBinary.Add(int64(size))
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
 
-	if resp.StatusCode == http.StatusUnsupportedMediaType {
-		// The replica does not speak these frames (restarted with
-		// -wire=json between probes, or an older build). Demote to JSON
-		// until a probe re-advertises the capability.
-		c.binaryWire.Store(false)
-		return nil, false, nil
-	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		se := &StatusError{Status: resp.StatusCode}
 		if raw, rerr := io.ReadAll(io.LimitReader(resp.Body, 4096)); rerr == nil {
@@ -457,7 +407,7 @@ func (c *Client) batchBinary(ctx context.Context, pairs [][2]uint64) (results []
 		if ra, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil && ra > 0 {
 			se.RetryAfter = ra
 		}
-		return nil, false, se
+		return nil, se
 	}
 
 	// Success: the response frame is exactly ResponseSize(n) bytes and
@@ -465,25 +415,25 @@ func (c *Client) batchBinary(ctx context.Context, pairs [][2]uint64) (results []
 	rsize := wireproto.ResponseSize(n)
 	rframe := sc.frame[:rsize]
 	if _, err := io.ReadFull(resp.Body, rframe); err != nil {
-		return nil, false, fmt.Errorf("reading response frame: %w", err)
+		return nil, fmt.Errorf("reading response frame: %w", err)
 	}
 	var trailer [1]byte
 	if extra, _ := resp.Body.Read(trailer[:]); extra != 0 {
-		return nil, false, fmt.Errorf("replica sent trailing bytes after response frame")
+		return nil, fmt.Errorf("replica sent trailing bytes after response frame")
 	}
 	c.counters.rxBinary.Add(int64(rsize))
 	m, err := wireproto.ResponseCount(rframe)
 	if err != nil {
-		return nil, false, fmt.Errorf("bad response frame: %w", err)
+		return nil, fmt.Errorf("bad response frame: %w", err)
 	}
 	if m != n {
-		return nil, false, fmt.Errorf("replica answered %d results for %d pairs", m, n)
+		return nil, fmt.Errorf("replica answered %d results for %d pairs", m, n)
 	}
-	results = make([]bool, n)
+	results := make([]bool, n)
 	if err := wireproto.DecodeResponse(rframe, results); err != nil {
-		return nil, false, fmt.Errorf("bad response frame: %w", err)
+		return nil, fmt.Errorf("bad response frame: %w", err)
 	}
-	return results, true, nil
+	return results, nil
 }
 
 // CloseIdleConnections releases the client's pooled keep-alive

@@ -237,10 +237,6 @@ type ReplicaStats struct {
 	// so one router stats read spots a replica running stale code.
 	GoVersion string `json:"go_version,omitempty"`
 	Revision  string `json:"revision,omitempty"`
-	// Wire is the batch encoding this router currently sends the
-	// replica ("binary" or "json"), as negotiated from its healthz wire
-	// capability — the observable truth of a mixed fleet.
-	Wire string `json:"wire"`
 	// Transport is how batches currently travel: "mux" when the router
 	// negotiated the persistent stream transport from the replica's
 	// healthz advertisement, "http" otherwise. (A mux replica still
@@ -248,11 +244,7 @@ type ReplicaStats struct {
 	// reports the negotiation, which is deterministic, not the last
 	// batch's route, which is not.)
 	Transport string `json:"transport"`
-	// Capabilities is the replica's advertised wire capability list,
-	// sorted at enrollment so stats reads are deterministic no matter
-	// what order the replica's healthz listed them in.
-	Capabilities []string `json:"capabilities,omitempty"`
-	InFlight     int64    `json:"in_flight"`
+	InFlight  int64  `json:"in_flight"`
 	// Requests/Errors/Rejected count what THIS router sent the replica;
 	// the replica's own lifetime counters are under Upstream.
 	Requests int64 `json:"requests"`
@@ -332,10 +324,6 @@ func (rt *Router) Stats(ctx context.Context) RouterStats {
 	}
 	var wg sync.WaitGroup
 	for i, r := range rt.replicas {
-		wire := WireJSON
-		if r.client.BinaryWire() {
-			wire = WireBinary
-		}
 		transport := "http"
 		if r.client.MuxActive() {
 			transport = "mux"
@@ -343,7 +331,6 @@ func (rt *Router) Stats(ctx context.Context) RouterStats {
 		st := ReplicaStats{
 			Base:      r.base,
 			State:     stateName(r.state.Load()),
-			Wire:      wire,
 			Transport: transport,
 			InFlight:  r.inflight.Load(),
 			Requests:  r.requests.Load(),
@@ -355,7 +342,6 @@ func (rt *Router) Stats(ctx context.Context) RouterStats {
 			st.Method = id.Method
 			st.GoVersion = id.GoVersion
 			st.Revision = id.Revision
-			st.Capabilities = id.Capabilities
 		}
 		out.Replicas[i] = st
 		if st.State != "healthy" {

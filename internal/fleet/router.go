@@ -14,13 +14,11 @@ package fleet
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"log"
 	"math/rand/v2"
 	"net/http"
 	"os"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,24 +78,7 @@ type Config struct {
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the
 	// router's mux.
 	EnablePprof bool
-	// Wire selects the router→replica batch encoding: WireBinary (the
-	// default) sends wireproto frames to replicas whose healthz
-	// advertises the capability and JSON to the rest; WireJSON forces
-	// JSON everywhere (ablation / escape hatch). See docs/WIRE.md.
-	Wire string
-	// DisableMux keeps all batches on HTTP even when a replica's healthz
-	// advertises a stream-transport listener (ablation / escape hatch;
-	// WireJSON implies it, since the mux transport carries binary
-	// frames). Off by default: replicas that advertise "mux" get
-	// persistent pipelined connections, the rest stay on HTTP.
-	DisableMux bool
 }
-
-// Config.Wire values.
-const (
-	WireBinary = "binary"
-	WireJSON   = "json"
-)
 
 func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
@@ -120,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
-	}
-	if c.Wire == "" {
-		c.Wire = WireBinary
 	}
 	if c.SlowQueryThreshold > 0 && c.SlowQueryWriter == nil {
 		c.SlowQueryWriter = os.Stderr
@@ -163,15 +141,6 @@ type identity struct {
 	Vertices    int
 	GoVersion   string
 	Revision    string
-	// Capabilities is the replica's advertised wire capability list,
-	// sorted once at enrollment: healthz order is not part of the
-	// contract (negotiation matches by membership, not position), and
-	// sorting here keeps every downstream read — /v1/stats rows, logs,
-	// e2e asserts — deterministic regardless of what the replica sent.
-	Capabilities []string
-	// Mux is the replica's advertised stream-transport listener ("" when
-	// it offers none).
-	Mux string
 }
 
 // replica is the router's view of one backend.
@@ -324,9 +293,6 @@ func New(ctx context.Context, cfg Config) (*Router, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, errors.New("fleet: no replicas configured")
 	}
-	if cfg.Wire != WireBinary && cfg.Wire != WireJSON {
-		return nil, fmt.Errorf("fleet: unknown wire encoding %q (want %q or %q)", cfg.Wire, WireBinary, WireJSON)
-	}
 	if ctx == nil {
 		return nil, errors.New("fleet: nil base context")
 	}
@@ -450,29 +416,16 @@ func (rt *Router) probe(r *replica) {
 		}
 		return
 	}
-	caps := slices.Clone(hz.Wire)
-	slices.Sort(caps)
 	id := identity{
 		Fingerprint: hz.Fingerprint, Method: hz.Method, Vertices: hz.Vertices,
 		GoVersion: hz.GoVersion, Revision: hz.Revision,
-		Capabilities: caps, Mux: hz.Mux,
 	}
 	r.ident.Store(&id)
-	// Wire negotiation, re-decided at every probe: binary only when the
-	// router wants it AND the replica's healthz advertises it (matched by
-	// membership — advertisement order carries no meaning). A healthz
-	// without the capability (pre-binary build, or -wire=json) gets JSON.
-	useBinary := rt.cfg.Wire == WireBinary && slices.Contains(hz.Wire, "binary")
-	r.client.UseBinaryWire(useBinary)
-	// Transport negotiation rides on top: a binary-speaking replica that
-	// advertises a mux listener gets the persistent stream transport,
-	// re-decided (and torn down when the advertisement disappears — say a
-	// replica restarted without -mux-addr) at every probe.
-	muxAddr := ""
-	if useBinary && !rt.cfg.DisableMux && hz.Mux != "" {
-		muxAddr = resolveMuxAddr(r.base, hz.Mux)
-	}
-	r.client.UseMux(muxAddr, hz.Fingerprint)
+	// Transport, re-decided at every probe: a replica that advertises a
+	// mux listener gets the persistent stream transport, torn down when
+	// the advertisement disappears (say a replica restarted without
+	// -mux-addr); an empty or unparseable advertisement resolves to "".
+	r.client.UseMux(resolveMuxAddr(r.base, hz.Mux), hz.Fingerprint)
 	r.consecFails = 0
 	r.nextProbe = time.Now().Add(rt.cfg.ProbeInterval)
 	if !rt.enroll(&id) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/internal/wireproto"
 )
 
 // Fake replica behavior modes.
@@ -31,8 +33,9 @@ const (
 )
 
 // fakeReplica is a scripted reachd stand-in: it answers the v1 wire
-// protocol from a pure function and can be told to shed (429), fail
-// (500), delay, or die and come back on the same address.
+// protocol (JSON, and wireproto frames on /v1/batch) from a pure
+// function and can be told to shed (429), fail (500), delay, or die and
+// come back on the same address.
 type fakeReplica struct {
 	fingerprint string
 	answer      func(u, v uint64) bool
@@ -129,6 +132,10 @@ func (f *fakeReplica) handler() http.Handler {
 		if f.shed(w, mode) {
 			return
 		}
+		if r.Header.Get("Content-Type") == wireproto.ContentType {
+			f.batchBinary(w, r)
+			return
+		}
 		var req server.BatchRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			w.WriteHeader(http.StatusBadRequest)
@@ -148,6 +155,33 @@ func (f *fakeReplica) handler() http.Handler {
 		json.NewEncoder(w).Encode(st)
 	})
 	return mux
+}
+
+// batchBinary answers one wireproto request frame with a response frame.
+func (f *fakeReplica) batchBinary(w http.ResponseWriter, r *http.Request) {
+	frame, err := io.ReadAll(r.Body)
+	if err != nil {
+		w.WriteHeader(http.StatusBadRequest)
+		return
+	}
+	n, err := wireproto.RequestCount(frame)
+	if err != nil {
+		w.WriteHeader(http.StatusBadRequest)
+		return
+	}
+	pairs := make([][2]uint32, n)
+	if err := wireproto.DecodeRequest(frame, pairs); err != nil {
+		w.WriteHeader(http.StatusBadRequest)
+		return
+	}
+	results := make([]bool, n)
+	for i, p := range pairs {
+		results[i] = f.answer(uint64(p[0]), uint64(p[1]))
+	}
+	f.queries.Add(int64(n))
+	out := make([]byte, wireproto.ResponseSize(n))
+	w.Header().Set("Content-Type", wireproto.ContentType)
+	w.Write(out[:wireproto.EncodeResponse(out, results)])
 }
 
 // silentCfg keeps test logs quiet and probe cycles fast.

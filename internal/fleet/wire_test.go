@@ -2,8 +2,9 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"math"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/server"
+	"repro/internal/wireproto"
 )
 
 // realOracle builds a small graph + DL oracle for wire tests.
@@ -56,185 +58,40 @@ func replicaStatsByBase(t *testing.T, rt *Router) map[string]ReplicaStats {
 	return out
 }
 
-// TestWireNegotiationMixedFleet: a binary-capable replica and a
-// -wire=json one behind the same router. The router must speak binary to
-// the first, JSON to the second, report that split in its stats, and
-// still merge correct answers out of the mixed scatter.
-func TestWireNegotiationMixedFleet(t *testing.T) {
+// TestClientSurfaces415: a replica that refuses binary frames with 415
+// (it serves JSON, but not this protocol) is a replica verdict like any
+// other status. The client returns it as *StatusError and sends nothing
+// else: no JSON retry, no results.
+func TestClientSurfaces415(t *testing.T) {
 	g, oracle := realOracle(t)
-	binBase := startReplica(t, g, oracle, server.Config{})
-	jsonBase := startReplica(t, g, oracle, server.Config{DisableBinaryWire: true})
-
-	cfg := silentCfg(binBase, jsonBase)
-	cfg.MinSubBatch = 16
-	rt := newTestRouter(t, cfg)
-
-	byBase := replicaStatsByBase(t, rt)
-	if got := byBase[binBase].Wire; got != WireBinary {
-		t.Fatalf("binary-capable replica negotiated %q, want %q", got, WireBinary)
-	}
-	if got := byBase[jsonBase].Wire; got != WireJSON {
-		t.Fatalf("-wire=json replica negotiated %q, want %q", got, WireJSON)
-	}
-
-	// Scatter enough pairs that both replicas serve sub-batches; repeat
-	// so power-of-two-choices is virtually certain to have used both.
-	rng := rand.New(rand.NewSource(5))
-	n := g.NumVertices()
-	for round := 0; round < 8; round++ {
-		pairs := make([][2]uint64, 200)
-		for i := range pairs {
-			pairs[i] = [2]uint64{uint64(rng.Intn(n)), uint64(rng.Intn(n))}
-		}
-		res, err := rt.Batch(context.Background(), pairs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, p := range pairs {
-			if res[i] != oracle.Reachable(uint32(p[0]), uint32(p[1])) {
-				t.Fatalf("round %d: mixed-fleet batch result %d disagrees with oracle", round, i)
-			}
-		}
-	}
-	if rt.met.wire.framesBinary.Load() == 0 {
-		t.Fatal("mixed fleet routed no binary frames")
-	}
-	if rt.met.wire.framesJSON.Load() == 0 {
-		t.Fatal("mixed fleet routed no JSON batches")
-	}
-	if rt.met.wire.txBinary.Load() == 0 || rt.met.wire.rxBinary.Load() == 0 {
-		t.Fatalf("binary byte counters tx=%d rx=%d, want both positive",
-			rt.met.wire.txBinary.Load(), rt.met.wire.rxBinary.Load())
-	}
-}
-
-// TestWireJSONForcesJSONEverywhere: Config.Wire=WireJSON is the ablation
-// switch — binary-capable replicas still get JSON.
-func TestWireJSONForcesJSONEverywhere(t *testing.T) {
-	g, oracle := realOracle(t)
-	base := startReplica(t, g, oracle, server.Config{})
-	cfg := silentCfg(base)
-	cfg.Wire = WireJSON
-	rt := newTestRouter(t, cfg)
-
-	if got := replicaStatsByBase(t, rt)[base].Wire; got != WireJSON {
-		t.Fatalf("forced-JSON router negotiated %q", got)
-	}
-	if _, err := rt.Batch(context.Background(), [][2]uint64{{1, 2}, {3, 4}}); err != nil {
-		t.Fatal(err)
-	}
-	if got := rt.met.wire.framesBinary.Load(); got != 0 {
-		t.Fatalf("forced-JSON router sent %d binary frames", got)
-	}
-	if rt.met.wire.framesJSON.Load() == 0 {
-		t.Fatal("forced-JSON router sent no JSON batches")
-	}
-}
-
-// TestWireConfigRejected: an unknown Config.Wire value is a construction
-// error, not a silent default.
-func TestWireConfigRejected(t *testing.T) {
-	_, err := New(context.Background(), Config{Replicas: []string{"http://x"}, Wire: "protobuf"})
-	if err == nil {
-		t.Fatal("New accepted Wire=protobuf")
-	}
-}
-
-// TestClientDemotesOn415: a client that believes a replica speaks binary
-// (stale negotiation — the replica restarted with -wire=json between
-// probes) gets a 415, transparently retries as JSON, and stays JSON.
-func TestClientDemotesOn415(t *testing.T) {
-	g, oracle := realOracle(t)
-	base := startReplica(t, g, oracle, server.Config{DisableBinaryWire: true})
-	c := NewClient(base, time.Second)
-	c.UseBinaryWire(true)
-
-	res, err := c.Batch(context.Background(), [][2]uint64{{1, 2}, {2, 1}})
-	if err != nil {
-		t.Fatalf("batch against stale-negotiated replica: %v", err)
-	}
-	if len(res) != 2 || res[0] != oracle.Reachable(1, 2) || res[1] != oracle.Reachable(2, 1) {
-		t.Fatalf("fallback batch answered %v", res)
-	}
-	if c.BinaryWire() {
-		t.Fatal("client still believes the replica speaks binary after a 415")
-	}
-	if c.counters.framesBinary.Load() != 1 || c.counters.framesJSON.Load() != 1 {
-		t.Fatalf("counters binary=%d json=%d, want 1 and 1 (one rejected frame, one JSON retry)",
-			c.counters.framesBinary.Load(), c.counters.framesJSON.Load())
-	}
-}
-
-// TestClientStaysDemotedUntilReEnrollment walks the whole demotion
-// lifecycle through a router: a binary-negotiated client that gets a 415
-// demotes itself to JSON, sends no further binary frames no matter how
-// many batches follow — even after the replica starts speaking binary
-// again — and is only re-promoted when a health probe re-negotiates from
-// a healthz that advertises the capability. That is the contract: the
-// 415 is the replica's word until enrollment says otherwise.
-func TestClientStaysDemotedUntilReEnrollment(t *testing.T) {
-	g, oracle := realOracle(t)
-	// One address, two personalities: the replica starts JSON-only (the
-	// stale-negotiation scenario a -wire=json restart produces) and later
-	// "restarts" as binary-capable behind the same URL.
-	sJSON := server.New(g, oracle, server.Config{DisableBinaryWire: true})
-	sBin := server.New(g, oracle, server.Config{})
-	t.Cleanup(func() { sJSON.Close(); sBin.Close() })
-	hJSON, hBin := sJSON.Handler(), sBin.Handler()
-	var current atomic.Pointer[http.Handler]
-	current.Store(&hJSON)
+	s := server.New(g, oracle, server.Config{})
+	t.Cleanup(s.Close)
+	var jsonBatches atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		(*current.Load()).ServeHTTP(w, r)
+		if r.Header.Get("Content-Type") == wireproto.ContentType {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusUnsupportedMediaType)
+			json.NewEncoder(w).Encode(server.ErrorResponse{Error: "binary batch frames not accepted"})
+			return
+		}
+		if r.URL.Path == "/v1/batch" {
+			jsonBatches.Add(1)
+		}
+		s.Handler().ServeHTTP(w, r)
 	}))
 	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL, time.Second)
 
-	// A probe interval long enough that only probes this test triggers
-	// run: re-promotion must be observably tied to a probe, not a timer.
-	cfg := silentCfg(ts.URL)
-	cfg.ProbeInterval = time.Hour
-	rt := newTestRouter(t, cfg)
-	r := rt.replicas[0]
-	c := r.client
-
-	// The initial probe saw a JSON-only healthz; plant the stale binary
-	// belief the demotion path exists to correct.
-	c.UseBinaryWire(true)
-	for i := 0; i < 3; i++ {
-		if _, err := c.Batch(context.Background(), [][2]uint64{{1, 2}}); err != nil {
-			t.Fatalf("batch %d: %v", i, err)
-		}
-		if c.BinaryWire() {
-			t.Fatalf("batch %d: client not demoted after the 415", i)
-		}
+	res, err := c.Batch(context.Background(), [][2]uint64{{1, 2}, {2, 1}})
+	var se *StatusError
+	if !errors.As(err, &se) || se.Status != http.StatusUnsupportedMediaType {
+		t.Fatalf("batch against a frame-refusing replica returned %v, want *StatusError 415", err)
 	}
-	if got := c.counters.framesBinary.Load(); got != 1 {
-		t.Fatalf("demoted client sent %d binary frames, want exactly 1 (the rejected one)", got)
+	if res != nil {
+		t.Fatalf("415 batch returned results %v, want none", res)
 	}
-
-	// The replica "restarts" binary-capable. With no probe yet, the
-	// demotion must hold: the client has no business retrying binary on
-	// its own.
-	current.Store(&hBin)
-	if _, err := c.Batch(context.Background(), [][2]uint64{{1, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if c.BinaryWire() || c.counters.framesBinary.Load() != 1 {
-		t.Fatalf("client re-promoted itself without a probe (binary=%v frames=%d)",
-			c.BinaryWire(), c.counters.framesBinary.Load())
-	}
-
-	// Re-enrollment: one probe against the binary-capable healthz. (The
-	// background loop ticks at ProbeInterval/4 — 15 minutes here — so this
-	// is the only prober.)
-	rt.probe(r)
-	if !c.BinaryWire() {
-		t.Fatal("probe against binary-advertising healthz did not re-promote the client")
-	}
-	if _, err := c.Batch(context.Background(), [][2]uint64{{1, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.counters.framesBinary.Load(); got != 2 {
-		t.Fatalf("re-promoted client sent %d binary frames total, want 2", got)
+	if n := jsonBatches.Load(); n != 0 {
+		t.Fatalf("client retried the refused batch as JSON %d times, want 0", n)
 	}
 }
 
@@ -265,7 +122,6 @@ func TestClientWideIDsFallBackToJSON(t *testing.T) {
 	orig[1] = wide
 	base := startReplica(t, g, oracle, server.Config{OrigIDs: orig})
 	c := NewClient(base, time.Second)
-	c.UseBinaryWire(true)
 
 	res, err := c.Batch(context.Background(), [][2]uint64{{uint64(wide), 2}, {0, 2}})
 	if err != nil {
@@ -273,9 +129,6 @@ func TestClientWideIDsFallBackToJSON(t *testing.T) {
 	}
 	if res[0] != oracle.Reachable(1, 2) || res[1] != oracle.Reachable(0, 2) {
 		t.Fatalf("wide-ID batch answered %v", res)
-	}
-	if !c.BinaryWire() {
-		t.Fatal("wide-ID fallback must not demote the client: the replica does speak binary")
 	}
 	if c.counters.framesBinary.Load() != 0 || c.counters.framesJSON.Load() != 1 {
 		t.Fatalf("counters binary=%d json=%d, want 0 and 1",
@@ -298,7 +151,6 @@ func TestClientBinaryErrorFrame(t *testing.T) {
 	g, oracle := realOracle(t)
 	base := startReplica(t, g, oracle, server.Config{MaxBatchPairs: 4})
 	c := NewClient(base, time.Second)
-	c.UseBinaryWire(true)
 
 	pairs := make([][2]uint64, 10)
 	_, err := c.Batch(context.Background(), pairs)

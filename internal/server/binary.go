@@ -3,8 +3,8 @@ package server
 // The binary batch path: /v1/batch spoken in wireproto frames instead of
 // JSON. Same endpoint, same semantics (results[i] answers pairs[i],
 // unknown vertices answer false), same limits and overload behavior —
-// only the encoding differs, selected per request by Content-Type so a
-// mixed fleet needs no second port. The handler allocates nothing per
+// only the encoding differs, selected per request by Content-Type so
+// routers and JSON clients share one port. The handler allocates nothing per
 // request in steady state: frame, pair and result buffers come from a
 // pool and the codec fills them in place. docs/WIRE.md is the normative
 // frame spec.
@@ -43,8 +43,7 @@ var wireScratchPool = sync.Pool{New: func() any { return new(wireScratch) }}
 
 // writeErrorFrame answers a binary-mode request with a wireproto error
 // frame: a binary peer never has to parse JSON to learn why a batch
-// failed. The sole exception is the 415 negotiation failure, which stays
-// JSON by design (it means "I don't speak these frames at all").
+// failed.
 func (s *Server) writeErrorFrame(w http.ResponseWriter, status int, msg string) {
 	buf := make([]byte, wireproto.ErrorSize(len(msg)))
 	n := wireproto.EncodeError(buf, status, msg)
@@ -81,12 +80,6 @@ func (s *Server) handleBatchBinary(w http.ResponseWriter, r *http.Request) {
 	tr := s.startTrace(w, r)
 	done := func(pairs, status int) { s.finishTrace(w, tr, s.met.reqBatch, "batch", pairs, status) }
 	s.met.wireFramesBinary.Add(1)
-	if s.cfg.DisableBinaryWire {
-		done(0, http.StatusUnsupportedMediaType)
-		s.fail(w, http.StatusUnsupportedMediaType,
-			"binary batch frames are disabled on this replica; send application/json")
-		return
-	}
 
 	// +1 so a body one byte past the largest legal frame reads as
 	// "too large" rather than truncating silently at the limit.

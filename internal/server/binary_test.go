@@ -125,34 +125,16 @@ func TestBinaryBatchRejections(t *testing.T) {
 	}
 }
 
-// TestBinaryWireDisabled: -wire=json replicas answer binary frames with
-// a JSON 415 (the "I don't speak this" negotiation signal) and stop
-// advertising the wire capability on healthz.
-func TestBinaryWireDisabled(t *testing.T) {
-	_, _, ts := fixture(t, Config{DisableBinaryWire: true})
-	status, ct, body := postBinary(t, ts.URL, encodeRequestFrame([][2]uint32{{1, 2}}))
-	if status != http.StatusUnsupportedMediaType {
-		t.Fatalf("disabled replica answered %d (body %q), want 415", status, body)
-	}
-	if ct != "application/json" {
-		t.Fatalf("415 content type %q, want application/json (the negotiation failure stays JSON)", ct)
-	}
-	var hz HealthzResponse
-	getJSON(t, ts.URL+"/v1/healthz", &hz)
-	if hz.Wire != nil {
-		t.Fatalf("disabled replica advertises wire capability %v", hz.Wire)
-	}
-}
-
-// TestHealthzAdvertisesWire: the default server advertises both
-// encodings; the order is part of nothing, the set is.
-func TestHealthzAdvertisesWire(t *testing.T) {
-	_, _, ts := fixture(t, Config{})
-	var hz HealthzResponse
-	getJSON(t, ts.URL+"/v1/healthz", &hz)
-	want := map[string]bool{"json": true, "binary": true}
-	if len(hz.Wire) != 2 || !want[hz.Wire[0]] || !want[hz.Wire[1]] || hz.Wire[0] == hz.Wire[1] {
-		t.Fatalf("healthz wire = %v, want json+binary", hz.Wire)
+// TestHealthzAdvertisesMux: healthz advertises exactly the stream
+// listener the server was configured with, and none without one.
+func TestHealthzAdvertisesMux(t *testing.T) {
+	for _, addr := range []string{"", "127.0.0.1:7071"} {
+		_, _, ts := fixture(t, Config{MuxAddr: addr})
+		var hz HealthzResponse
+		getJSON(t, ts.URL+"/v1/healthz", &hz)
+		if hz.Mux != addr {
+			t.Fatalf("healthz mux = %q with MuxAddr %q, want it echoed", hz.Mux, addr)
+		}
 	}
 }
 

@@ -218,19 +218,6 @@ func (s *Server) failUnknownVertex(w http.ResponseWriter, bad uint64) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	bi := obs.BuildInfo()
-	// Wire advertises the batch encodings this replica accepts; routers
-	// read it once at enrollment. With the binary path disabled the field
-	// is omitted entirely, which is exactly what a pre-binary replica
-	// sends — one "JSON only" signal, not two.
-	var wire []string
-	var muxAddr string
-	if !s.cfg.DisableBinaryWire {
-		wire = []string{"json", "binary"}
-		// The mux transport carries the same binary frames, so disabling
-		// the binary wire hides the mux listener too: a router must never
-		// negotiate a transport the replica would refuse to decode.
-		muxAddr = s.cfg.MuxAddr
-	}
 	s.writeJSON(w, http.StatusOK, HealthzResponse{
 		Status:        "ok",
 		Method:        s.oracle.Method(),
@@ -240,8 +227,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		GoVersion:     bi.GoVersion,
 		Revision:      bi.Revision,
 		UptimeSeconds: time.Since(s.met.start).Seconds(),
-		Wire:          wire,
-		Mux:           muxAddr,
+		Mux:           s.cfg.MuxAddr,
 	})
 }
 

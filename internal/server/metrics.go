@@ -26,9 +26,10 @@ type metrics struct {
 	cacheHits     atomic.Int64
 	cacheMisses   atomic.Int64
 
-	// Wire-level batch traffic accounting, split by encoding so a -wire
-	// ablation (or a mixed fleet) shows up directly in /metrics. rx is
-	// request-body bytes read, tx response-body bytes written.
+	// Wire-level batch traffic accounting, split by encoding so JSON
+	// batches (direct clients, or IDs wider than a frame carries) show up
+	// next to binary frames in /metrics. rx is request-body bytes read,
+	// tx response-body bytes written.
 	wireFramesJSON   atomic.Int64
 	wireFramesBinary atomic.Int64
 	wireRxJSON       atomic.Int64

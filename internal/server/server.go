@@ -67,19 +67,11 @@ type Config struct {
 	// Handler mux. Off by default: profiling endpoints are an
 	// operational tool, not part of the query API.
 	EnablePprof bool
-	// DisableBinaryWire turns off the binary batch protocol on
-	// /v1/batch: binary frames are answered with 415, and /v1/healthz
-	// stops advertising the "wire" capability (making the replica
-	// indistinguishable from a pre-binary one, so routers send it JSON).
-	// Operational escape hatch — see docs/WIRE.md.
-	DisableBinaryWire bool
 	// MuxAddr is the host:port the replica's mux listener (the raw-TCP
 	// stream transport, internal/mux) is bound to; /v1/healthz advertises
 	// it so routers can upgrade from HTTP. Empty means no mux listener.
 	// reachd binds the listener first and passes the resolved address, so
-	// what healthz advertises is always dialable. Ignored (not
-	// advertised) with DisableBinaryWire: the stream transport carries
-	// the same binary frames.
+	// what healthz advertises is always dialable.
 	MuxAddr string
 }
 

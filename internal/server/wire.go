@@ -28,11 +28,6 @@ type HealthzResponse struct {
 	GoVersion     string  `json:"go_version,omitempty"`
 	Revision      string  `json:"revision,omitempty"`
 	UptimeSeconds float64 `json:"uptime_seconds,omitempty"`
-	// Wire lists the batch encodings this replica accepts on /v1/batch
-	// ("json", "binary"). Routers read it once at enrollment to decide
-	// the scatter encoding; absent (pre-binary replicas, or -wire=json)
-	// means JSON only. See docs/WIRE.md.
-	Wire []string `json:"wire,omitempty"`
 	// Mux is the host:port of this replica's raw-TCP stream-transport
 	// listener (docs/WIRE.md, "Stream transport"). Routers that speak the
 	// mux protocol dial it and pipeline batches over a few persistent

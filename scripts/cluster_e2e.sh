@@ -40,20 +40,14 @@ echo "== single-node ground truth (reachcli builds the index and saves the fleet
 grep -cq true "$WORK/expected.txt" || { echo "sweep has no reachable pairs — not a meaningful test"; exit 1; }
 
 echo "== start 3 replicas (each mmap-loads the one snapshot) + the router"
-# Replica :${REPLICA_PORTS[1]} runs -wire=json (it survives the SIGKILL
-# below), so the sweep also proves the router's per-replica encoding
-# negotiation: a mixed fleet serves binary and JSON sub-batches side by
-# side and still answers exactly like single-node reachcli. Replica
-# :${REPLICA_PORTS[0]} additionally gets a -mux-addr stream listener
-# (port+100), so one fleet exercises all three replica transports at
-# once — mux streams, HTTP binary, HTTP JSON — and the SIGKILL below
-# lands on the mux replica, covering stream-leg death too.
+# Replica :${REPLICA_PORTS[0]} additionally gets a -mux-addr stream
+# listener (port+100), so one fleet exercises both replica transports at
+# once — binary frames over mux streams and over HTTP — and the SIGKILL
+# below lands on the mux replica, covering stream-leg death too.
 for port in "${REPLICA_PORTS[@]}"; do
-  WIRE_FLAG=binary
   MUX_FLAGS=()
   if [ "$port" = "${REPLICA_PORTS[0]}" ]; then MUX_FLAGS=(-mux-addr "127.0.0.1:$((port + 100))"); fi
-  if [ "$port" = "${REPLICA_PORTS[1]}" ]; then WIRE_FLAG=json; fi
-  "$BIN/reachd" -snapshot "$WORK/g.snap" -addr "127.0.0.1:$port" -wire "$WIRE_FLAG" \
+  "$BIN/reachd" -snapshot "$WORK/g.snap" -addr "127.0.0.1:$port" \
     ${MUX_FLAGS[@]+"${MUX_FLAGS[@]}"} \
     > "$WORK/reachd-$port.log" 2>&1 &
   PIDS+=($!)
@@ -75,17 +69,8 @@ for i in $(seq 1 150); do
 done
 curl -fsS "http://$ROUTER_ADDR/v1/healthz"; echo
 
-echo "== wire negotiation: binary to capable replicas, JSON to the -wire=json one"
-curl -fsS "http://$ROUTER_ADDR/v1/stats" > "$WORK/stats0.json"
-grep -qE "\"base\":\"http://127\.0\.0\.1:${REPLICA_PORTS[1]}\"[^{}]*\"wire\":\"json\"" "$WORK/stats0.json" \
-  || { echo "-wire=json replica not negotiated down to JSON"; cat "$WORK/stats0.json"; exit 1; }
-for port in "${REPLICA_PORTS[0]}" "${REPLICA_PORTS[2]}"; do
-  grep -qE "\"base\":\"http://127\.0\.0\.1:$port\"[^{}]*\"wire\":\"binary\"" "$WORK/stats0.json" \
-    || { echo "binary-capable replica :$port not negotiated to binary"; cat "$WORK/stats0.json"; exit 1; }
-done
-echo "   stats: 2 replicas on binary frames, 1 on JSON"
-
 echo "== transport negotiation: mux streams to the advertising replica, HTTP to the rest"
+curl -fsS "http://$ROUTER_ADDR/v1/stats" > "$WORK/stats0.json"
 grep -qE "\"base\":\"http://127\.0\.0\.1:${REPLICA_PORTS[0]}\"[^{}]*\"transport\":\"mux\"" "$WORK/stats0.json" \
   || { echo "mux-advertising replica not negotiated to mux"; cat "$WORK/stats0.json"; exit 1; }
 for port in "${REPLICA_PORTS[1]}" "${REPLICA_PORTS[2]}"; do
@@ -94,7 +79,7 @@ for port in "${REPLICA_PORTS[1]}" "${REPLICA_PORTS[2]}"; do
 done
 echo "   stats: 1 replica on mux streams, 2 on HTTP"
 
-echo "== full 240-pair batch through the healthy 3/3 fleet: all three transports at once"
+echo "== full 240-pair batch through the healthy 3/3 fleet: both transports at once"
 {
   printf '{"pairs":['
   awk '{printf "%s[%d,%d]", (NR > 1 ? "," : ""), $1, $2}' "$WORK/pairs.txt"
@@ -136,15 +121,15 @@ diff "$WORK/expected.txt" "$WORK/got.txt"
 echo "   sweep identical across router failover ($(wc -l < "$WORK/got.txt") queries)"
 
 echo "== full 240-pair batch through the degraded (2/3) fleet, 5 rounds"
-# Five rounds so the mixed fleet provably scatters sub-batches over BOTH
-# HTTP encodings (the surviving replicas are one binary, one JSON);
-# every round must still merge into exactly the single-node answers.
+# Five rounds of scatter over the two surviving replicas, both on binary
+# frames over HTTP now that the mux replica is dead; every round must
+# still merge into exactly the single-node answers.
 for round in 1 2 3 4 5; do
   curl -fsS -X POST --data-binary "@$WORK/batch.json" \
     "http://$ROUTER_ADDR/v1/batch" > "$WORK/batch.out"
   sed -E 's/.*"results":\[([^]]*)\].*/\1/' "$WORK/batch.out" | tr ',' '\n' > "$WORK/batch_got.txt"
   diff "$WORK/batch_expected.txt" "$WORK/batch_got.txt" \
-    || { echo "mixed-wire batch round $round diverged from single-node answers"; exit 1; }
+    || { echo "degraded-fleet batch round $round diverged from single-node answers"; exit 1; }
 done
 echo "   scatter-gathered batch identical while degraded, 5/5 rounds"
 
@@ -172,11 +157,12 @@ grep -q 'reach_router_failovers_total' "$WORK/router_metrics.txt" \
   || { echo "router missing failover counter"; exit 1; }
 grep -q 'reach_router_replicas_healthy 2' "$WORK/router_metrics.txt" \
   || { echo "router healthy-replica gauge != 2"; exit 1; }
-# The mixed fleet must have scattered sub-batches over both encodings.
+# Every sweep ID fits u32, so every interior sub-batch must have left as
+# a binary frame: HTTP binary frames moved, and not one JSON sub-batch.
 grep -Eq 'reach_wire_frames_total\{encoding="binary"\} [1-9][0-9]*' "$WORK/router_metrics.txt" \
   || { echo "router sent no binary frames"; grep reach_wire "$WORK/router_metrics.txt"; exit 1; }
-grep -Eq 'reach_wire_frames_total\{encoding="json"\} [1-9][0-9]*' "$WORK/router_metrics.txt" \
-  || { echo "router sent no JSON sub-batches"; grep reach_wire "$WORK/router_metrics.txt"; exit 1; }
+grep -Eq '^reach_wire_frames_total\{encoding="json"\} 0$' "$WORK/router_metrics.txt" \
+  || { echo "router sent JSON sub-batches for u32 IDs"; grep reach_wire "$WORK/router_metrics.txt"; exit 1; }
 # The healthy-fleet round must have ridden the stream transport to the
 # mux replica (frames in both directions), and after that replica's
 # death the router must hold no open mux connections — stream-leg
@@ -187,7 +173,7 @@ grep -Eq 'reach_mux_frames_total\{direction="rx"\} [1-9][0-9]*' "$WORK/router_me
   || { echo "router received no mux frames"; grep reach_mux "$WORK/router_metrics.txt"; exit 1; }
 grep -q 'reach_mux_conns 0' "$WORK/router_metrics.txt" \
   || { echo "router still holds mux connections to a dead replica"; grep reach_mux "$WORK/router_metrics.txt"; exit 1; }
-echo "   router metrics: 240 reachable + 6 batch samples, both wire encodings + mux streams used"
+echo "   router metrics: 240 reachable + 6 batch samples, binary frames only, over HTTP + mux streams"
 
 echo "== /metrics on a surviving replica: per-stage histograms must exist"
 REPLICA_METRICS="http://127.0.0.1:${REPLICA_PORTS[1]}/metrics"
