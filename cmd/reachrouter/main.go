@@ -62,7 +62,7 @@ func main() {
 		probeTO    = flag.Duration("probe-timeout", fleet.DefaultProbeTimeout, "health probe timeout")
 		maxBackoff = flag.Duration("max-probe-backoff", fleet.DefaultMaxProbeBackoff, "cap on re-probe backoff for dead replicas")
 		attempts   = flag.Int("attempts", fleet.DefaultMaxAttempts, "distinct replicas to try per query or sub-batch")
-		minSub     = flag.Int("min-subbatch", fleet.DefaultMinSubBatch, "smallest batch worth scattering across replicas")
+		minSub     = flag.Int("min-subbatch", fleet.DefaultMinSubBatch, "smallest sub-batch worth sending a replica; a batch fans out only when it holds at least twice this many pairs")
 		maxBatch   = flag.Int("max-batch", fleet.DefaultMaxBatchPairs, "max pairs per /v1/batch request")
 		upstreamTO = flag.Duration("upstream-timeout", 30*time.Second, "per-request timeout toward a replica (0 = none)")
 		slowTO     = flag.Duration("slow-query-log", 0, "log routed requests slower than this as JSON lines on stderr (0 disables)")

@@ -34,18 +34,35 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
+// stageTimes is where one routed request spent its time: decoding the
+// JSON body, routing (scatter to gather), and encoding the answer.
+// Single queries only route.
+type stageTimes struct {
+	decode, route, encode time.Duration
+}
+
 // finishTrace closes out a routed request: sets the Server-Timing
-// header (route = time inside the routing layer, scatter to gather),
+// header (decode and encode at the JSON edge, when the request has a
+// body; route = time inside the routing layer, scatter to gather),
 // records the request histogram, and emits a slow-query record when the
 // total crosses the configured threshold.
-func (rt *Router) finishTrace(w http.ResponseWriter, traceID string, start time.Time, routeD time.Duration, hist *obs.Histogram, endpoint string, pairs, status int) {
+func (rt *Router) finishTrace(w http.ResponseWriter, traceID string, start time.Time, st stageTimes, hist *obs.Histogram, endpoint string, pairs, status int) {
 	total := time.Since(start)
-	w.Header().Set(obs.ServerTimingHeader, obs.FormatServerTiming([]obs.Stage{
-		{Name: "route", D: routeD},
-		{Name: "total", D: total},
-	}))
+	stages := make([]obs.Stage, 0, 4)
+	if st.decode > 0 {
+		stages = append(stages, obs.Stage{Name: "decode", D: st.decode})
+	}
+	stages = append(stages, obs.Stage{Name: "route", D: st.route})
+	if st.encode > 0 {
+		stages = append(stages, obs.Stage{Name: "encode", D: st.encode})
+	}
+	w.Header().Set(obs.ServerTimingHeader, obs.FormatServerTiming(append(stages, obs.Stage{Name: "total", D: total})))
 	hist.RecordDuration(total)
 	if rt.met.slow.Slow(total) {
+		stagesMS := make(map[string]float64, len(stages))
+		for _, s := range stages {
+			stagesMS[s.Name] = float64(s.D) / 1e6
+		}
 		rt.met.slow.Emit(server.SlowQueryRecord{
 			Time:       time.Now().UTC().Format(time.RFC3339Nano),
 			Trace:      traceID,
@@ -53,9 +70,7 @@ func (rt *Router) finishTrace(w http.ResponseWriter, traceID string, start time.
 			Status:     status,
 			DurationMS: float64(total) / 1e6,
 			Pairs:      pairs,
-			StagesMS: map[string]float64{
-				"route": float64(routeD) / 1e6,
-			},
+			StagesMS:   stagesMS,
 		})
 	}
 }
@@ -151,19 +166,19 @@ func (rt *Router) handleReachable(w http.ResponseWriter, r *http.Request) {
 	u, errU := strconv.ParseUint(q.Get("u"), 10, 64)
 	v, errV := strconv.ParseUint(q.Get("v"), 10, 64)
 	if errU != nil || errV != nil {
-		rt.finishTrace(w, traceID, start, 0, rt.met.reqReachable, "reachable", 1, http.StatusBadRequest)
+		rt.finishTrace(w, traceID, start, stageTimes{}, rt.met.reqReachable, "reachable", 1, http.StatusBadRequest)
 		rt.failf(w, http.StatusBadRequest, "u and v must be non-negative integer query parameters")
 		return
 	}
 	t0 := time.Now()
 	resp, err := rt.Reachable(obs.WithTrace(r.Context(), traceID), u, v)
-	routeD := time.Since(t0)
+	st := stageTimes{route: time.Since(t0)}
 	if err != nil {
-		rt.finishTrace(w, traceID, start, routeD, rt.met.reqReachable, "reachable", 1, routeErrorStatus(err))
+		rt.finishTrace(w, traceID, start, st, rt.met.reqReachable, "reachable", 1, routeErrorStatus(err))
 		rt.writeRouteError(w, err)
 		return
 	}
-	rt.finishTrace(w, traceID, start, routeD, rt.met.reqReachable, "reachable", 1, http.StatusOK)
+	rt.finishTrace(w, traceID, start, st, rt.met.reqReachable, "reachable", 1, http.StatusOK)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -189,42 +204,49 @@ func routeErrorStatus(err error) int {
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	traceID := obs.EnsureTrace(w, r)
 	start := time.Now()
-	done := func(routeD time.Duration, pairs, status int) {
-		rt.finishTrace(w, traceID, start, routeD, rt.met.reqBatch, "batch", pairs, status)
+	var st stageTimes
+	done := func(pairs, status int) {
+		rt.finishTrace(w, traceID, start, st, rt.met.reqBatch, "batch", pairs, status)
 	}
-	// Same byte-cap rationale as reachd's /v1/batch: bound memory before
-	// decoding, ~48 bytes covers any compactly-encoded pair.
-	body := http.MaxBytesReader(w, r.Body, 48*int64(rt.cfg.MaxBatchPairs)+4096)
-	var req server.BatchRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	// The edge codec is reachd's: same byte cap, same fast path, same
+	// encoding/json fallback, so the router accepts and rejects exactly
+	// the bodies a single node does.
+	eb := server.GetEdgeBatch()
+	defer eb.Release()
+	pairs, err := eb.ReadRequest(w, r, rt.cfg.MaxBatchPairs)
+	st.decode = rt.met.edgeDecode.RecordSince(start)
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			done(0, 0, http.StatusRequestEntityTooLarge)
+			done(0, http.StatusRequestEntityTooLarge)
 			rt.failf(w, http.StatusRequestEntityTooLarge, "batch body exceeds %d bytes", tooLarge.Limit)
 			return
 		}
-		done(0, 0, http.StatusBadRequest)
+		done(0, http.StatusBadRequest)
 		rt.failf(w, http.StatusBadRequest, "bad batch body: %v", err)
 		return
 	}
-	if len(req.Pairs) > rt.cfg.MaxBatchPairs {
-		done(0, len(req.Pairs), http.StatusRequestEntityTooLarge)
+	if len(pairs) > rt.cfg.MaxBatchPairs {
+		done(len(pairs), http.StatusRequestEntityTooLarge)
 		rt.failf(w, http.StatusRequestEntityTooLarge,
-			"batch of %d pairs exceeds limit %d", len(req.Pairs), rt.cfg.MaxBatchPairs)
+			"batch of %d pairs exceeds limit %d", len(pairs), rt.cfg.MaxBatchPairs)
 		return
 	}
 	t0 := time.Now()
-	results, err := rt.Batch(obs.WithTrace(r.Context(), traceID), req.Pairs)
-	routeD := time.Since(t0)
+	// Batch joins every sub-batch goroutine before it returns, so
+	// nothing reads pairs once eb goes back to the pool.
+	results, err := rt.Batch(obs.WithTrace(r.Context(), traceID), pairs)
+	st.route = time.Since(t0)
 	if err != nil {
-		done(routeD, len(req.Pairs), routeErrorStatus(err))
+		done(len(pairs), routeErrorStatus(err))
 		rt.writeRouteError(w, err)
 		return
 	}
-	done(routeD, len(req.Pairs), http.StatusOK)
-	writeJSON(w, http.StatusOK, server.BatchResponse{Count: len(req.Pairs), Results: results})
+	t1 := time.Now()
+	eb.EncodeResponse(results)
+	st.encode = rt.met.edgeEncode.RecordSince(t1)
+	done(len(pairs), http.StatusOK)
+	eb.WriteResponse(w)
 }
 
 // ReplicaStats is one replica's row in the router's /v1/stats.

@@ -97,6 +97,14 @@ func TestTracePropagationE2E(t *testing.T) {
 	if got, _ := f.lastTrace.Load().(string); got != "e2e-batch-trace" {
 		t.Fatalf("replica received batch trace %q, want e2e-batch-trace", got)
 	}
+	// A batch also times its JSON edge: decoding the body and encoding
+	// the answer.
+	st = resp.Header.Get(obs.ServerTimingHeader)
+	for _, stage := range []string{"decode;dur=", "route;dur=", "encode;dur=", "total;dur="} {
+		if !strings.Contains(st, stage) {
+			t.Fatalf("router batch server timing %q missing %s", st, stage)
+		}
+	}
 }
 
 func TestRouterMetricsEndpoint(t *testing.T) {
@@ -143,6 +151,8 @@ func TestRouterMetricsEndpoint(t *testing.T) {
 		"reach_router_replicas_healthy 2",
 		"reach_router_replicas_total 2",
 		"reach_router_scatter_seconds_count 1",
+		`reach_router_stage_seconds_count{stage="edge_decode"} 1`,
+		`reach_router_stage_seconds_count{stage="edge_encode"} 1`,
 		`reach_build_info{go_version="` + runtime.Version() + `"`,
 	} {
 		if !strings.Contains(text, want) {

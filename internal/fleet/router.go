@@ -211,6 +211,10 @@ type routerMetrics struct {
 	reqBatch     *obs.Histogram
 	// Scatter/gather stage histograms for batches.
 	scatterDur *obs.Histogram
+	// JSON edge stage histograms for batches: reading and parsing the
+	// body, and encoding the answer.
+	edgeDecode *obs.Histogram
+	edgeEncode *obs.Histogram
 
 	// wire tallies batch traffic to replicas by encoding, shared across
 	// every replica client; same series names as the replicas' own, so
@@ -242,6 +246,12 @@ func (m *routerMetrics) init() {
 	m.scatterDur = m.reg.Histogram("reach_router_scatter_seconds",
 		"Latency of one scatter/gather round: splitting a batch, dispatching sub-batches and merging answers.",
 		nil)
+	m.edgeDecode = m.reg.Histogram("reach_router_stage_seconds",
+		"Per-stage latency at the router's JSON edge: edge_decode reads and parses a /v1/batch body, edge_encode encodes its answer.",
+		obs.Labels{"stage": "edge_decode"})
+	m.edgeEncode = m.reg.Histogram("reach_router_stage_seconds",
+		"Per-stage latency at the router's JSON edge: edge_decode reads and parses a /v1/batch body, edge_encode encodes its answer.",
+		obs.Labels{"stage": "edge_encode"})
 	m.reg.CounterFunc("reach_router_requests_total", "Single queries routed.", nil, m.requests.Load)
 	m.reg.CounterFunc("reach_router_batch_requests_total", "Batch requests routed.", nil, m.batchRequests.Load)
 	m.reg.CounterFunc("reach_router_sub_batches_total", "Sub-batches scattered to replicas.", nil, m.subBatches.Load)

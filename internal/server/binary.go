@@ -65,10 +65,8 @@ func (s *Server) failBinary(w http.ResponseWriter, status int, msg string) {
 
 // failBinaryTimeout is failTimeout for the binary path: 503 as an error
 // frame, with the same timed_out accounting.
-func (s *Server) failBinaryTimeout(w http.ResponseWriter, err error) {
-	if errors.Is(err, context.DeadlineExceeded) {
-		s.met.timedOut.Add(1)
-	}
+func (s *Server) failBinaryTimeout(w http.ResponseWriter, r *http.Request, err error) {
+	s.countTimedOut(r.Context(), err)
 	s.failBinary(w, http.StatusServiceUnavailable, "request abandoned: "+err.Error())
 }
 
@@ -146,7 +144,7 @@ func (s *Server) handleBatchBinary(w http.ResponseWriter, r *http.Request) {
 	s.met.batchRequests.Add(1)
 	if err := r.Context().Err(); err != nil {
 		done(count, http.StatusServiceUnavailable)
-		s.failBinaryTimeout(w, err)
+		s.failBinaryTimeout(w, r, err)
 		return
 	}
 	// Resolve in place: wire IDs are uint32 by construction (clients with
@@ -166,7 +164,7 @@ func (s *Server) handleBatchBinary(w http.ResponseWriter, r *http.Request) {
 	out := sc.out[:count]
 	if err := s.reachableBatchInto(r.Context(), pairs, out, &tr.qt); err != nil {
 		done(count, http.StatusServiceUnavailable)
-		s.failBinaryTimeout(w, err)
+		s.failBinaryTimeout(w, r, err)
 		return
 	}
 	// The response reuses the request's frame buffer: ResponseSize(n) is
@@ -193,12 +191,12 @@ func (s *Server) failBinaryRead(w http.ResponseWriter, r *http.Request, done fun
 	}
 	if errors.Is(err, os.ErrDeadlineExceeded) {
 		done(0, http.StatusServiceUnavailable)
-		s.failBinaryTimeout(w, context.DeadlineExceeded)
+		s.failBinaryTimeout(w, r, context.DeadlineExceeded)
 		return
 	}
 	if ctxErr := r.Context().Err(); ctxErr != nil {
 		done(0, http.StatusServiceUnavailable)
-		s.failBinaryTimeout(w, ctxErr)
+		s.failBinaryTimeout(w, r, ctxErr)
 		return
 	}
 	done(0, http.StatusBadRequest)

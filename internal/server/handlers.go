@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -194,14 +193,29 @@ func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...
 
 // failTimeout reports a request abandoned because its context ended:
 // 503 so clients and load balancers read it as transient server
-// pressure. Only a genuinely expired deadline counts as timed_out — a
-// cancelled context means the client went away, which happens with or
-// without RequestTimeout configured.
-func (s *Server) failTimeout(w http.ResponseWriter, err error) {
+// pressure.
+func (s *Server) failTimeout(w http.ResponseWriter, r *http.Request, err error) {
+	s.countTimedOut(r.Context(), err)
+	s.fail(w, http.StatusServiceUnavailable, "request abandoned: %v", err)
+}
+
+// countTimedOut bumps timed_out for a request abandoned with err when
+// its deadline expired: err is DeadlineExceeded, or ctx's own deadline
+// has passed. The second test matters because the deadline can surface
+// as Canceled: net/http's background read of a bodyless request times
+// out at the guard's socket read deadline and cancels the connection
+// context, which may land before the request's context notices its own
+// timer. A cancelled context whose deadline is still ahead means the
+// client went away, which happens with or without RequestTimeout and is
+// not counted.
+func (s *Server) countTimedOut(ctx context.Context, err error) {
 	if errors.Is(err, context.DeadlineExceeded) {
 		s.met.timedOut.Add(1)
+		return
 	}
-	s.fail(w, http.StatusServiceUnavailable, "request abandoned: %v", err)
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		s.met.timedOut.Add(1)
+	}
 }
 
 // failUnknownVertex is the 400 for an ID that names no vertex. The valid
@@ -259,7 +273,7 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := r.Context().Err(); err != nil {
 		done(http.StatusServiceUnavailable)
-		s.failTimeout(w, err)
+		s.failTimeout(w, r, err)
 		return
 	}
 	var cs chunkStats
@@ -286,24 +300,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w = cw
 	tr := s.startTrace(w, r)
 	done := func(pairs, status int) { s.finishTrace(w, tr, s.met.reqBatch, "batch", pairs, status) }
-	// Cap body bytes before decoding so MaxBatchPairs bounds memory, not
-	// just the decoded pair count. Worst case a compactly-encoded pair of
-	// two 20-digit uint64 IDs plus JSON punctuation costs ~46 bytes; 48
-	// covers it, so any compact batch within the pair-count limit also
-	// fits the byte cap. Whitespace-heavy encodings (MarshalIndent) can
-	// trip it earlier — the 413 body names the byte limit for that case.
-	// MaxBytesReader gets the unwrapped writer so its too-large handling
-	// still reaches the real connection.
-	body := http.MaxBytesReader(origW, r.Body, 48*int64(s.cfg.MaxBatchPairs)+4096)
-	cr := &countingReader{r: body}
+	eb := GetEdgeBatch()
 	defer func() {
-		s.met.wireRxJSON.Add(cr.n)
+		s.met.wireRxJSON.Add(eb.BodyBytes())
 		s.met.wireTxJSON.Add(cw.n)
+		eb.Release()
 	}()
-	var req BatchRequest
-	dec := json.NewDecoder(cr)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
+	// The byte cap bounds memory before decoding, so MaxBatchPairs
+	// bounds the body, not just the decoded pair count. ReadRequest gets
+	// the unwrapped writer so the cap's too-large handling still reaches
+	// the real connection.
+	pairs, err := eb.ReadRequest(origW, r, s.cfg.MaxBatchPairs)
 	tr.decode = time.Since(tr.start)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
@@ -319,35 +326,35 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// classify the i/o timeout itself too.
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			done(0, http.StatusServiceUnavailable)
-			s.failTimeout(w, context.DeadlineExceeded)
+			s.failTimeout(w, r, context.DeadlineExceeded)
 			return
 		}
 		if ctxErr := r.Context().Err(); ctxErr != nil {
 			done(0, http.StatusServiceUnavailable)
-			s.failTimeout(w, ctxErr)
+			s.failTimeout(w, r, ctxErr)
 			return
 		}
 		done(0, http.StatusBadRequest)
 		s.fail(w, http.StatusBadRequest, "bad batch body: %v", err)
 		return
 	}
-	if len(req.Pairs) > s.cfg.MaxBatchPairs {
-		done(len(req.Pairs), http.StatusRequestEntityTooLarge)
+	if len(pairs) > s.cfg.MaxBatchPairs {
+		done(len(pairs), http.StatusRequestEntityTooLarge)
 		s.fail(w, http.StatusRequestEntityTooLarge,
-			"batch of %d pairs exceeds limit %d", len(req.Pairs), s.cfg.MaxBatchPairs)
+			"batch of %d pairs exceeds limit %d", len(pairs), s.cfg.MaxBatchPairs)
 		return
 	}
 	s.met.batchRequests.Add(1)
 	// Shed before resolving: a deadline that expired during body decode
 	// must not pay O(pairs) ID translation just to answer 503.
 	if err := r.Context().Err(); err != nil {
-		done(len(req.Pairs), http.StatusServiceUnavailable)
-		s.failTimeout(w, err)
+		done(len(pairs), http.StatusServiceUnavailable)
+		s.failTimeout(w, r, err)
 		return
 	}
 	t0 := time.Now()
-	dense := make([][2]uint32, len(req.Pairs))
-	for i, p := range req.Pairs {
+	dense := make([][2]uint32, len(pairs))
+	for i, p := range pairs {
 		du, _ := s.resolve(p[0]) // unknown IDs become unknownVertex → false
 		dv, _ := s.resolve(p[1])
 		dense[i] = [2]uint32{du, dv}
@@ -355,32 +362,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	tr.resolve = time.Since(t0)
 	results, err := s.reachableBatch(r.Context(), dense, &tr.qt)
 	if err != nil {
-		done(len(req.Pairs), http.StatusServiceUnavailable)
-		s.failTimeout(w, err)
+		done(len(pairs), http.StatusServiceUnavailable)
+		s.failTimeout(w, r, err)
 		return
 	}
-	done(len(req.Pairs), http.StatusOK)
-	s.writeJSON(w, http.StatusOK, BatchResponse{
-		Count:   len(req.Pairs),
-		Results: results,
-	})
+	eb.EncodeResponse(results)
+	done(len(pairs), http.StatusOK)
+	eb.WriteResponse(w)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, http.StatusOK, s.Stats())
-}
-
-// countingReader tallies bytes actually read from the request body, for
-// the reach_wire_bytes_total{direction="rx"} accounting.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // countingResponseWriter tallies response-body bytes for the

@@ -12,7 +12,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -93,7 +92,7 @@ func (s *Server) muxBatch(ctx context.Context, trace string, pairs [][2]uint32, 
 	var ret error
 	if err != nil {
 		status = http.StatusServiceUnavailable
-		ret = s.muxAbandoned(err)
+		ret = s.muxAbandoned(ctx, err)
 	}
 	if s.met.slow.Slow(total) {
 		cacheNs := tr.cacheNs.Load()
@@ -119,10 +118,8 @@ func (s *Server) muxBatch(ctx context.Context, trace string, pairs [][2]uint32, 
 // muxAbandoned is failTimeout for the stream transport: the batch's
 // context ended, answer 503 so routers read it as transient pressure,
 // with the same timed_out/errors accounting as HTTP.
-func (s *Server) muxAbandoned(err error) error {
-	if errors.Is(err, context.DeadlineExceeded) {
-		s.met.timedOut.Add(1)
-	}
+func (s *Server) muxAbandoned(ctx context.Context, err error) error {
+	s.countTimedOut(ctx, err)
 	s.met.errors.Add(1)
 	return &mux.Fail{Status: http.StatusServiceUnavailable, Msg: "request abandoned: " + err.Error()}
 }

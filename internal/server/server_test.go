@@ -363,7 +363,28 @@ func TestRequestDeadline(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = [2]uint64{uint64(i) % n, uint64(i+1) % n}
 	}
-	resp, _ := postBatch(t, ts.URL, pairs)
+	// The batch goes out in one write over a raw connection: the server
+	// answers 503 without reading the body, and a client still
+	// streaming the body when the connection closes would report a
+	// broken pipe instead of the answer.
+	body, err := json.Marshal(BatchRequest{Pairs: pairs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	head := fmt.Sprintf("POST /v1/batch HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", len(body))
+	if _, err := conn.Write(append([]byte(head), body...)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("over-deadline batch: status %d, want 503", resp.StatusCode)
 	}
@@ -376,6 +397,35 @@ func TestRequestDeadline(t *testing.T) {
 	}
 	if st.Errors < st.TimedOut {
 		t.Fatalf("timeouts not counted as errors: %+v", st)
+	}
+}
+
+// TestTimedOutCountsExpiredDeadline pins timed_out when a request's
+// deadline surfaces as a cancellation. net/http can cancel the
+// connection context (its background read times out at the guard's
+// socket read deadline) before the request context's own timer fires;
+// the request still timed out. A cancelled request whose deadline is
+// still ahead is a client that went away, and is not counted.
+func TestTimedOutCountsExpiredDeadline(t *testing.T) {
+	for _, tc := range []struct {
+		timeout time.Duration
+		want    int64
+	}{
+		{time.Nanosecond, 1},
+		{time.Hour, 0},
+	} {
+		_, s, _ := fixture(t, Config{RequestTimeout: tc.timeout})
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		req := httptest.NewRequest(http.MethodGet, "/v1/reachable?u=0&v=1", nil).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("timeout %s: status %d, want 503", tc.timeout, rec.Code)
+		}
+		if got := s.Stats().Server.TimedOut; got != tc.want {
+			t.Fatalf("timeout %s: timed_out = %d, want %d", tc.timeout, got, tc.want)
+		}
 	}
 }
 
