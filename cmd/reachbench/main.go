@@ -15,14 +15,9 @@
 //
 //	reachbench -serve http://localhost:8080 -graph g.txt [-clients 8] [-batch 512] [-duration 10s]
 //
-// With -replicas N it self-hosts the serving stack being measured: the
-// index is built once, snapshotted, mmap-loaded N times into N loopback
-// reachd-equivalent replicas fronted by an in-process fleet router, and
-// the closed loop drives the router. -replicas 1 vs a plain -serve run
-// isolates the router's scatter-gather overhead; larger N shows fleet
-// scaling without needing N machines:
-//
-//	reachbench -replicas 3 -graph g.txt [-method DL] [-clients 8] [-batch 512] [-duration 10s]
+// -serve drives a daemon that is already running, a reachd or a
+// reachrouter in front of a fleet; perfbench/ is the repository's
+// self-hosted fleet benchmark.
 package main
 
 import (
@@ -50,37 +45,8 @@ func main() {
 		clients    = flag.Int("clients", 8, "concurrent load-generator clients (with -serve)")
 		batch      = flag.Int("batch", 512, "pairs per /v1/batch request (with -serve)")
 		duration   = flag.Duration("duration", 10*time.Second, "load-generation time (with -serve)")
-		replicas   = flag.Int("replicas", 0, "spawn a local fleet: snapshot built once, mmap'd N times behind an in-process router (requires -graph)")
-		fleetMeth  = flag.String("method", "DL", "index method for the -replicas fleet snapshot")
-		fleetSnap  = flag.String("snapshot", "", "snapshot path for the -replicas fleet (reused if it exists; default: temp file)")
-		noObs      = flag.Bool("no-observers", false, "disable the observer fast path on the -replicas fleet (end-to-end ablation)")
-		muxOn      = flag.Bool("mux", true, "give the -replicas fleet stream-transport listeners so the router pipelines batches over persistent connections (false: HTTP only)")
 	)
 	flag.Parse()
-
-	if *replicas > 0 {
-		lf, err := startLocalFleet(*graphFile, *fleetSnap, *fleetMeth, *replicas, *noObs, *muxOn)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "reachbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer lf.stop()
-		lg := &loadGen{
-			base:     lf.base,
-			graph:    *graphFile,
-			clients:  *clients,
-			batch:    *batch,
-			duration: *duration,
-			seed:     *seed,
-		}
-		if err := lg.run(); err != nil {
-			lf.stop()
-			fmt.Fprintf(os.Stderr, "reachbench: %v\n", err)
-			os.Exit(1)
-		}
-		lf.stop()
-		return
-	}
 
 	if *serve != "" {
 		lg := &loadGen{

@@ -7,16 +7,19 @@
 //
 //	reachd -graph g.txt [-method DL] [-addr :8080] [-snapshot g.snap]
 //	       [-workers N] [-cache-capacity 1048576] [-request-timeout 0]
-//	       [-max-inflight 0] [-slow-query-log 50ms] [-pprof] [-observers on]
-//	       [-mux-addr :9090]
+//	       [-max-inflight 0] [-slow-query-log 50ms] [-pprof]
+//	       [-mux-addr HOST:0]
 //
 // -cache-capacity sizes the query cache in answers, rounded down to a
 // power of two (at least 64); a negative value disables it.
 //
-// -mux-addr additionally listens for the raw-TCP stream transport
-// (docs/WIRE.md, "Stream transport"): routers that learn the address
-// from /v1/healthz pipeline batches over a few persistent connections
-// instead of one HTTP request each.
+// -mux-addr is where reachd listens for the raw-TCP stream transport
+// (docs/WIRE.md, "Stream transport"), which carries every fleet router
+// sub-batch whose IDs fit u32. It is always on: the default takes any
+// free port on the host -addr names (":0" for the default ":8080", so
+// a reachd bound to loopback keeps its stream listener on loopback),
+// and /v1/healthz advertises the port actually bound, so routers find
+// it without configuration.
 //
 // If -snapshot names an existing snapshot of the same graph and method,
 // it is memory-mapped and serving starts in milliseconds — the snapshot
@@ -64,7 +67,6 @@ import (
 	"time"
 
 	reach "repro"
-	"repro/internal/mux"
 	"repro/internal/server"
 )
 
@@ -81,23 +83,30 @@ func main() {
 		inflight  = flag.Int("max-inflight", 0, "max concurrent query requests before answering 429 (0 = unlimited)")
 		slowTO    = flag.Duration("slow-query-log", 0, "log queries slower than this as JSON lines on stderr (0 disables)")
 		pprof     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		observers = flag.String("observers", "on", "observer fast path in front of the index: on or off")
-		muxAddr   = flag.String("mux-addr", "", "listen address for the raw-TCP stream transport (e.g. :9090); advertised via /v1/healthz, empty disables")
+		muxAddr   = flag.String("mux-addr", "", "listen address for the raw-TCP stream transport that fleet routers send batches over; advertised via /v1/healthz (default: the -addr host, port 0 = any free port)")
 	)
 	flag.Parse()
-	if *observers != "on" && *observers != "off" {
-		fmt.Fprintf(os.Stderr, "reachd: unknown -observers %q (want on or off)\n", *observers)
-		os.Exit(1)
-	}
 	// An unset -method means "whatever the snapshot holds" when loading,
 	// and DL when building; only an explicit -method constrains a load.
-	methodSet := false
+	// An unset -mux-addr follows -addr's host; run rejects an explicitly
+	// empty one.
+	methodSet, muxSet := false, false
 	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "method" {
+		switch f.Name {
+		case "method":
 			methodSet = true
+		case "mux-addr":
+			muxSet = true
 		}
 	})
-	if err := run(*graphPath, *method, methodSet, *addr, *snapshot, *muxAddr, *observers == "off", server.Config{
+	if !muxSet {
+		var err error
+		if *muxAddr, err = defaultMuxAddr(*addr); err != nil {
+			fmt.Fprintf(os.Stderr, "reachd: %v\n", err)
+			os.Exit(1)
+		}
+	}
+	if err := run(*graphPath, *method, methodSet, *addr, *snapshot, *muxAddr, server.Config{
 		Workers:            *workers,
 		CacheCapacity:      *cacheCap,
 		MaxBatchPairs:      *maxBatch,
@@ -111,9 +120,24 @@ func main() {
 	}
 }
 
-func run(graphPath, method string, methodSet bool, addr, snapshot, muxAddr string, noObservers bool, cfg server.Config) error {
+// defaultMuxAddr is -mux-addr's default: any free port on the host addr
+// names, so the stream listener is reachable from exactly where the
+// HTTP one is (":8080" gives ":0", "127.0.0.1:8080" gives
+// "127.0.0.1:0").
+func defaultMuxAddr(addr string) (string, error) {
+	host, _, err := net.SplitHostPort(addr)
+	if err != nil {
+		return "", fmt.Errorf("-addr %q: %w", addr, err)
+	}
+	return net.JoinHostPort(host, "0"), nil
+}
+
+func run(graphPath, method string, methodSet bool, addr, snapshot, muxAddr string, cfg server.Config) error {
 	if graphPath == "" && snapshot == "" {
 		return fmt.Errorf("-graph or -snapshot is required")
+	}
+	if muxAddr == "" {
+		return fmt.Errorf("-mux-addr must not be empty (fleet routers send batches only over the stream transport; HOST:0 takes any free port)")
 	}
 	var g *reach.Graph
 	if graphPath != "" {
@@ -131,7 +155,7 @@ func run(graphPath, method string, methodSet bool, addr, snapshot, muxAddr strin
 			g.NumVertices(), g.DAGVertices(), g.DAGEdges())
 	}
 
-	oracle, err := loadOrBuild(g, reach.Method(method), methodSet, snapshot, noObservers)
+	oracle, err := loadOrBuild(g, reach.Method(method), methodSet, snapshot)
 	if err != nil {
 		return err
 	}
@@ -146,16 +170,14 @@ func run(graphPath, method string, methodSet bool, addr, snapshot, muxAddr strin
 	cfg.OrigIDs = g.OrigIDs()
 
 	// Bind the stream-transport listener before building the server, so
-	// healthz advertises the address the kernel actually assigned (":0"
-	// and wildcard hosts resolve here) rather than the flag's wish.
-	var muxLn net.Listener
-	if muxAddr != "" {
-		muxLn, err = net.Listen("tcp", muxAddr)
-		if err != nil {
-			return fmt.Errorf("mux listener: %w", err)
-		}
-		cfg.MuxAddr = muxLn.Addr().String()
+	// healthz advertises the port the kernel actually assigned (":0"
+	// resolves here) rather than the flag's wish; a wildcard host stays
+	// wildcard, and routers substitute the host they reach healthz on.
+	muxLn, err := net.Listen("tcp", muxAddr)
+	if err != nil {
+		return fmt.Errorf("mux listener: %w", err)
 	}
+	cfg.MuxAddr = muxLn.Addr().String()
 
 	s := server.New(g, oracle, cfg)
 	// ReadHeaderTimeout bounds header trickling independently of
@@ -166,26 +188,21 @@ func run(graphPath, method string, methodSet bool, addr, snapshot, muxAddr strin
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
-	var muxSrv *mux.Server
-	if muxLn != nil {
-		muxSrv = s.NewMuxServer(log.Printf)
-		go func() {
-			log.Printf("serving stream transport on %s", muxLn.Addr())
-			if serr := muxSrv.Serve(muxLn); serr != nil {
-				errc <- fmt.Errorf("mux: %w", serr)
-			}
-		}()
-	}
+	muxSrv := s.NewMuxServer(log.Printf)
+	go func() {
+		log.Printf("serving stream transport on %s", muxLn.Addr())
+		if serr := muxSrv.Serve(muxLn); serr != nil {
+			errc <- fmt.Errorf("mux: %w", serr)
+		}
+	}()
 	go func() {
 		log.Printf("serving %s index on %s", oracle.Method(), addr)
 		errc <- httpSrv.ListenAndServe()
 	}()
 
 	shutdownMux := func(ctx context.Context) {
-		if muxSrv != nil {
-			if merr := muxSrv.Shutdown(ctx); merr != nil {
-				log.Printf("warning: mux shutdown: %v", merr)
-			}
+		if merr := muxSrv.Shutdown(ctx); merr != nil {
+			log.Printf("warning: mux shutdown: %v", merr)
 		}
 	}
 	select {
@@ -232,18 +249,13 @@ func loadSnapshot(g *reach.Graph, method reach.Method, methodSet bool, path stri
 // loadOrBuild restores the oracle from an existing snapshot, or builds it
 // and saves a snapshot for the next restart. g may be nil when only a
 // snapshot was given; building then is impossible and load errors are
-// fatal rather than recoverable. noObservers strips the observer fast
-// path (-observers=off) — after a load, because the snapshot may carry
-// (or trigger on-the-fly construction of) an observer section.
-func loadOrBuild(g *reach.Graph, method reach.Method, methodSet bool, snapshot string, noObservers bool) (*reach.Oracle, error) {
+// fatal rather than recoverable.
+func loadOrBuild(g *reach.Graph, method reach.Method, methodSet bool, snapshot string) (*reach.Oracle, error) {
 	if snapshot != "" {
 		if _, err := os.Stat(snapshot); err == nil {
 			start := time.Now()
 			oracle, err := loadSnapshot(g, method, methodSet, snapshot)
 			if err == nil {
-				if noObservers {
-					oracle.DisableObservers()
-				}
 				log.Printf("index: loaded %s snapshot %s (%d ints) in %s",
 					oracle.Method(), snapshot, oracle.IndexSizeInts(), time.Since(start).Round(time.Millisecond))
 				return oracle, nil
@@ -261,7 +273,7 @@ func loadOrBuild(g *reach.Graph, method reach.Method, methodSet bool, snapshot s
 		}
 	}
 	start := time.Now()
-	oracle, err := reach.Build(g, method, reach.Options{NoObservers: noObservers})
+	oracle, err := reach.Build(g, method, reach.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -15,12 +15,14 @@
 //	            [-max-batch 1048576] [-upstream-timeout 30s]
 //	            [-slow-query-log 100ms] [-pprof]
 //
-// Sub-batches travel to replicas as binary frames (docs/WIRE.md), or
-// as JSON when a batch holds a vertex ID wider than 32 bits. Replicas
-// whose /v1/healthz advertises a stream-transport listener (reachd
-// -mux-addr) get their frames over a few persistent raw-TCP connections
-// with per-batch HTTP fallback; the rest get one HTTP request per
-// sub-batch.
+// Sub-batches travel to replicas as binary frames (docs/WIRE.md) over a
+// few persistent raw-TCP stream-transport connections per replica, to
+// the listener each replica's /v1/healthz advertises (reachd -mux-addr).
+// Only a batch holding a vertex ID wider than 32 bits goes as JSON over
+// HTTP, and single queries use HTTP GET. A replica enrolls only once a
+// probe has completed a stream handshake with it; a connection that
+// dies under a sub-batch costs one retry on another connection, then
+// the replica is ejected and the sub-batch fails over.
 //
 // The router serves the same v1 API as a single reachd — /v1/healthz,
 // /v1/reachable, /v1/batch, /v1/stats, /metrics — so clients point at

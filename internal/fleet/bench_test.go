@@ -14,17 +14,11 @@ import (
 	"repro/internal/server"
 )
 
-// benchWires are the transport rows of the wire benchmarks, named by
-// their sub-benchmark keys: binary frames over persistent mux
-// connections, and binary frames over one HTTP request each.
-var benchWires = []string{"mux", "binary"}
-
 // benchFleet stands up n real replicas (shared immutable oracle, the
-// same thing N mmaps of one snapshot give) and a router over them.
-// useMux gives each replica a stream-transport listener and lets the
-// router negotiate it from healthz, exactly as a production fleet
-// would; without it every batch goes over HTTP.
-func benchFleet(b *testing.B, n int, useMux bool) (*Router, *reach.Graph) {
+// same thing N mmaps of one snapshot give), each with a stream-transport
+// listener advertised in healthz as reachd does, and a router over
+// them.
+func benchFleet(b *testing.B, n int) (*Router, *reach.Graph) {
 	b.Helper()
 	raw := gen.CitationDAG(5000, 4, 0.5, 3)
 	edges := make([][2]uint32, 0, raw.NumEdges())
@@ -42,25 +36,18 @@ func benchFleet(b *testing.B, n int, useMux bool) (*Router, *reach.Graph) {
 	}
 	var bases []string
 	for i := 0; i < n; i++ {
-		scfg := server.Config{}
-		var muxLn net.Listener
-		if useMux {
-			muxLn, err = net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			scfg.MuxAddr = muxLn.Addr().String()
+		muxLn, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
 		}
-		s := server.New(g, oracle, scfg)
-		if muxLn != nil {
-			ms := s.NewMuxServer(func(string, ...any) {})
-			go ms.Serve(muxLn)
-			b.Cleanup(func() {
-				ctx, cancel := context.WithCancel(context.Background())
-				cancel() // force-close; the router is gone by cleanup time
-				ms.Shutdown(ctx)
-			})
-		}
+		s := server.New(g, oracle, server.Config{MuxAddr: muxLn.Addr().String()})
+		ms := s.NewMuxServer(func(string, ...any) {})
+		go ms.Serve(muxLn)
+		b.Cleanup(func() {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel() // force-close; the router is gone by cleanup time
+			ms.Shutdown(ctx)
+		})
 		ts := httptest.NewServer(s.Handler())
 		b.Cleanup(func() { ts.Close(); s.Close() })
 		bases = append(bases, ts.URL)
@@ -85,45 +72,40 @@ func benchPairs(g *reach.Graph, size int) [][2]uint64 {
 }
 
 // BenchmarkRouterBatch measures the scatter-gather fan-out overhead: one
-// batch through a router fronting 1 vs 3 replicas, on both transports,
-// with the pairs/op rate making throughput comparable to the
-// single-node BenchmarkServerBatch. replicas=1 isolates the router's own
-// hop (proxy + merge cost); replicas=3 adds the scatter across the
-// fleet; wire=mux vs wire=binary is the transport ablation: the same
-// binary frames over persistent stream-transport connections or one
-// HTTP request each. The two batch sizes separate the regimes: at 512
-// pairs the per-request transport overhead dominates (where mux earns
-// its keep), at 4096 the replica's serving compute does (where the
-// transports converge). One untimed priming batch warms the replica
-// caches (and, for mux, dials the connection pool) so the loop measures
-// steady-state serving, not oracle warmup — the transport comparison is
-// meaningless if iteration one buries both under index probes.
+// batch through a router fronting 1 vs 3 replicas, with the pairs/op
+// rate making throughput comparable to the single-node
+// BenchmarkServerBatch. replicas=1 isolates the router's own hop (proxy
+// + merge cost); replicas=3 adds the scatter across the fleet. The two
+// batch sizes separate the regimes: at 512 pairs the per-request
+// transport overhead dominates, at 4096 the replica's serving compute
+// does. Row names keep wire=mux, the transport every sub-batch takes,
+// so they continue the rows of earlier baselines. Untimed priming
+// batches warm the replica caches and dial the connection pools, so the
+// loop measures steady-state serving, not oracle warmup.
 func BenchmarkRouterBatch(b *testing.B) {
 	for _, n := range []int{1, 3} {
-		for _, wire := range benchWires {
-			for _, batch := range []int{512, 4096} {
-				b.Run(fmt.Sprintf("replicas=%d/wire=%s/batch=%d", n, wire, batch), func(b *testing.B) {
-					rt, g := benchFleet(b, n, wire == "mux")
-					pairs := benchPairs(g, batch)
-					ctx := context.Background()
-					// Priming, repeated enough times that every replica's
-					// caches are warm and (for mux) every pool connection
-					// has been round-robin'd to and dialed.
-					for range 4 {
-						if _, err := rt.Batch(ctx, pairs); err != nil {
-							b.Fatal(err)
-						}
+		for _, batch := range []int{512, 4096} {
+			b.Run(fmt.Sprintf("replicas=%d/wire=mux/batch=%d", n, batch), func(b *testing.B) {
+				rt, g := benchFleet(b, n)
+				pairs := benchPairs(g, batch)
+				ctx := context.Background()
+				// Priming, repeated enough times that every replica's
+				// caches are warm and every pool connection has been
+				// round-robin'd to and dialed.
+				for range 4 {
+					if _, err := rt.Batch(ctx, pairs); err != nil {
+						b.Fatal(err)
 					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, err := rt.Batch(ctx, pairs); err != nil {
-							b.Fatal(err)
-						}
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := rt.Batch(ctx, pairs); err != nil {
+						b.Fatal(err)
 					}
-					b.StopTimer()
-					b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "pairs/sec")
-				})
-			}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "pairs/sec")
+			})
 		}
 	}
 }
@@ -134,23 +116,21 @@ func BenchmarkRouterBatch(b *testing.B) {
 // BenchmarkRouterBatch/replicas=1 is the router's added hop.
 func BenchmarkDirectBatch(b *testing.B) {
 	const batch = 4096
-	for _, wire := range benchWires {
-		b.Run("wire="+wire, func(b *testing.B) {
-			rt, g := benchFleet(b, 1, wire == "mux")
-			pairs := benchPairs(g, batch)
-			c := rt.replicas[0].client
-			ctx := context.Background()
+	b.Run("wire=mux", func(b *testing.B) {
+		rt, g := benchFleet(b, 1)
+		pairs := benchPairs(g, batch)
+		c := rt.replicas[0].client
+		ctx := context.Background()
+		if _, err := c.Batch(ctx, pairs); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			if _, err := c.Batch(ctx, pairs); err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Batch(ctx, pairs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "pairs/sec")
-		})
-	}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "pairs/sec")
+	})
 }

@@ -19,38 +19,36 @@ import (
 	"repro/internal/mux"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/wireproto"
 )
 
-// wireCounters tallies batch traffic by encoding from the sender's
-// perspective: tx is request-body bytes sent to replicas, rx is
-// response-body bytes read back. The router shares one instance across
-// its replica clients and exposes it as reach_wire_frames_total /
+// wireCounters tallies the JSON sub-batches sent to replicas, the ones
+// holding a vertex ID wider than u32 (every other sub-batch is a frame,
+// counted in reach_mux_*): tx is request-body bytes sent, rx is
+// response-body bytes read. The router shares one instance across its
+// replica clients and exposes it as reach_wire_frames_total /
 // reach_wire_bytes_total.
 type wireCounters struct {
-	framesJSON   atomic.Int64
-	framesBinary atomic.Int64
-	txJSON       atomic.Int64
-	rxJSON       atomic.Int64
-	txBinary     atomic.Int64
-	rxBinary     atomic.Int64
+	framesJSON atomic.Int64
+	txJSON     atomic.Int64
+	rxJSON     atomic.Int64
 }
 
-// Client speaks the reachd v1 wire protocol to one replica. It reuses
-// the server package's exported wire types, so the router can never
-// drift from what the replicas actually serve.
+// Client speaks the reachd v1 protocol to one replica: JSON over HTTP
+// for health, stats, single queries and batches holding an ID wider
+// than u32, and wireproto frames over the replica's stream transport
+// (internal/mux) for every other batch. It reuses the server package's
+// exported wire types, so the router can never drift from what the
+// replicas actually serve.
 type Client struct {
 	base string
 	hc   *http.Client
 
-	// muxPool, when set, is the persistent stream-transport connection
-	// pool to this replica (internal/mux): Batch tries it before HTTP and
-	// falls back per batch when no connection is available. The router
-	// installs it via UseMux from the replica's healthz "mux"
-	// advertisement and tears it down when the advertisement disappears.
+	// muxPool is the persistent stream-transport connection pool to
+	// this replica, installed by UseMux from the replica's healthz "mux"
+	// advertisement.
 	muxPool atomic.Pointer[mux.Pool]
 
-	// counters receives this client's batch traffic accounting; NewClient
+	// counters receives this client's JSON batch accounting; NewClient
 	// allocates a private set, the router repoints it at a shared one.
 	// muxCounters is the stream-transport equivalent (set before UseMux;
 	// nil gives each pool a private set).
@@ -59,48 +57,49 @@ type Client struct {
 }
 
 // NewClient returns a client for the replica at base (e.g.
-// "http://10.0.0.3:8080"). timeout bounds each request end-to-end; zero
-// means no timeout. Batches go as wireproto frames over HTTP until
-// UseMux installs a stream-transport pool.
+// "http://10.0.0.3:8080"). timeout bounds each HTTP request end-to-end;
+// zero means no timeout. Batches whose IDs fit u32 need UseMux first.
 func NewClient(base string, timeout time.Duration) *Client {
 	return &Client{base: base, hc: &http.Client{Timeout: timeout}, counters: &wireCounters{}}
 }
 
-// UseMux points Batch at the replica's stream-transport listener:
-// subsequent batches go over persistent mux connections (dialed lazily,
-// fingerprint-checked in the handshake) with per-batch HTTP fallback.
-// An empty addr tears the pool down — the replica stopped advertising
-// the capability. Idempotent per (addr, fingerprint), so the router can
-// call it on every probe; a changed address or fingerprint replaces the
-// pool (closing the old one) so stale connections can't outlive what
-// healthz now claims.
-func (c *Client) UseMux(addr, fingerprint string) {
-	old := c.muxPool.Load()
-	if addr == "" {
-		if old != nil && c.muxPool.CompareAndSwap(old, nil) {
-			old.Close()
-		}
-		return
-	}
-	if old != nil && old.Addr() == addr && old.Fingerprint() == fingerprint {
-		return
-	}
-	p := mux.NewPool(addr, mux.DefaultConnsPerReplica, mux.ClientConfig{
-		Fingerprint: fingerprint,
-		Counters:    c.muxCounters,
-	})
-	if c.muxPool.CompareAndSwap(old, p) {
-		if old != nil {
-			old.Close()
-		}
-	} else {
-		p.Close() // lost a race with a concurrent UseMux; keep the winner
-	}
-}
+// errNoMux: the replica advertises no stream-transport listener (or
+// UseMux was never called), so its batches have nowhere to go.
+var errNoMux = errors.New("replica advertises no mux listener")
 
-// MuxActive reports whether Batch currently tries the stream transport
-// first — the per-replica "transport" truth /v1/stats exposes.
-func (c *Client) MuxActive() bool { return c.muxPool.Load() != nil }
+// UseMux points Batch at the replica's stream-transport listener at
+// addr and makes sure the pool holds a live connection, dialing one
+// only when none is live: a handshake that checks the snapshot
+// fingerprint.
+// The router calls it on every probe and enrolls the replica only when
+// it returns nil. A changed address or fingerprint replaces the pool
+// (closing the old one), so stale connections cannot outlive what
+// healthz now claims; an empty addr tears the pool down and returns
+// errNoMux. Calls must not overlap, as a router's probes of one replica
+// never do.
+func (c *Client) UseMux(ctx context.Context, addr, fingerprint string) error {
+	if addr == "" {
+		if old := c.muxPool.Swap(nil); old != nil {
+			old.Close()
+		}
+		return errNoMux
+	}
+	p := c.muxPool.Load()
+	if p == nil || p.Addr() != addr || p.Fingerprint() != fingerprint {
+		p = mux.NewPool(addr, mux.DefaultConnsPerReplica, mux.ClientConfig{
+			Fingerprint: fingerprint,
+			Counters:    c.muxCounters,
+		})
+		if old := c.muxPool.Swap(p); old != nil {
+			old.Close()
+		}
+	}
+	if p.OpenConns() > 0 {
+		return nil
+	}
+	_, err := p.Get(ctx)
+	return err
+}
 
 // MuxOpenConns reports the pool's currently open connections (0 with no
 // pool), feeding the router's reach_mux_conns gauge.
@@ -229,24 +228,18 @@ func (c *Client) Reachable(ctx context.Context, u, v uint64) (server.ReachableRe
 	return rr, err
 }
 
-// Batch sends pairs to the replica's /v1/batch and returns the in-order
-// results. A reply whose result count does not match the pair count is a
-// protocol violation and is reported as an error rather than silently
+// Batch sends pairs to the replica and returns the in-order results. A
+// reply whose result count does not match the pair count is a protocol
+// violation and is reported as an error rather than silently
 // misaligned.
 //
 // The encoding follows from the batch alone: pairs go as one wireproto
-// frame, or as JSON when any ID exceeds the frame format's uint32 range
-// (the JSON path carries u64 IDs). Every replica is built from this
-// repository, so it parses both; one that refuses a frame answers an
-// error status, which surfaces as *StatusError like any other replica
-// verdict.
-//
-// With a mux pool installed (see UseMux), the frame goes over a
-// persistent stream-transport connection instead of an HTTP request;
-// when no connection is available (dial failure, backoff window, a
-// connection that just died) the batch falls back to HTTP — the
-// fallback is per batch, so the transport self-heals without the router
-// noticing.
+// frame over the stream transport, or as JSON over HTTP when any ID
+// exceeds the frame format's uint32 range (the JSON path carries u64
+// IDs). Replica verdicts, an HTTP error status or an in-band error
+// frame alike, surface as *StatusError; any other error is a transport
+// failure, which the router answers by ejecting the replica and failing
+// over.
 func (c *Client) Batch(ctx context.Context, pairs [][2]uint64) ([]bool, error) {
 	sc := clientScratchPool.Get().(*clientScratch)
 	defer clientScratchPool.Put(sc)
@@ -261,47 +254,41 @@ func (c *Client) Batch(ctx context.Context, pairs [][2]uint64) ([]bool, error) {
 		}
 		p32[i] = [2]uint32{uint32(p[0]), uint32(p[1])}
 	}
-	if p := c.muxPool.Load(); p != nil {
-		results, ok, err := c.batchMux(ctx, p, p32)
-		if ok || err != nil {
-			return results, err
-		}
-		// Fell through: no usable connection — try HTTP.
-	}
-	return c.batchBinary(ctx, sc, p32)
+	return c.batchMux(ctx, p32)
 }
 
-// batchMux sends pairs over the stream transport. ok=false with a nil
-// error means "try HTTP instead, this batch": the pool has no usable
-// connection right now (it redials in the background), or the
-// connection died mid-flight (a transport error, not a replica verdict).
-// Replica verdicts — error frames — surface as *StatusError exactly like
-// HTTP statuses, so the router's retry/failover policy is
+// batchMux sends pairs over the stream transport. A batch whose
+// connection fails under it (the stream dies, or the dial for a fresh
+// connection fails) is retried once on another pool connection, so one
+// lost connection does not eject a live replica; a second failure is
+// returned for the router to eject the replica and fail over. Error
+// frames are the replica's verdict and surface as *StatusError exactly
+// like HTTP statuses, so the router's retry/failover policy is
 // transport-blind.
-func (c *Client) batchMux(ctx context.Context, p *mux.Pool, pairs [][2]uint32) (results []bool, ok bool, err error) {
-	cn, err := p.Get(ctx)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, false, ctxErr
-		}
-		return nil, false, nil // no connection: backoff window or dial failure
+func (c *Client) batchMux(ctx context.Context, pairs [][2]uint32) ([]bool, error) {
+	p := c.muxPool.Load()
+	if p == nil {
+		return nil, errNoMux
 	}
 	out := make([]bool, len(pairs))
-	if err := cn.Batch(ctx, pairs, out, obs.TraceFrom(ctx)); err != nil {
+	trace := obs.TraceFrom(ctx)
+	var err error
+	for range 2 {
+		var cn *mux.Conn
+		if cn, err = p.Get(ctx); err == nil {
+			if err = cn.Batch(ctx, pairs, out, trace); err == nil {
+				return out, nil
+			}
+		}
 		var f *mux.Fail
 		if errors.As(err, &f) {
-			// The replica answered and refused — same verdict it would
-			// have given over HTTP, so same error shape.
-			return nil, false, &StatusError{Status: f.Status, Body: f.Msg}
+			return nil, &StatusError{Status: f.Status, Body: f.Msg}
 		}
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, false, ctxErr
+			return nil, ctxErr
 		}
-		// Transport failure: the connection is dead (the pool replaces it
-		// on a later Get). The replica may be fine — let HTTP decide.
-		return nil, false, nil
 	}
-	return out, true, nil
+	return nil, err
 }
 
 // resolveMuxAddr turns a replica's advertised mux address into a
@@ -309,7 +296,7 @@ func (c *Client) batchMux(ctx context.Context, p *mux.Pool, pairs [][2]uint32) (
 // wildcard host (":9090", "0.0.0.0:9090", "[::]:9090") names every
 // interface and none, so the router substitutes the host it already
 // reaches the replica's HTTP API on. Returns "" for an unparseable
-// advertisement — the router then just stays on HTTP.
+// advertisement, which leaves the replica unenrolled.
 func resolveMuxAddr(base, adv string) string {
 	host, port, err := net.SplitHostPort(adv)
 	if err != nil || port == "" {
@@ -347,94 +334,14 @@ func (c *Client) batchJSON(ctx context.Context, pairs [][2]uint64) ([]bool, erro
 	return br.Results, nil
 }
 
-// clientScratch is one binary batch's worth of reusable buffers: the
-// request frame (reused to read the smaller response frame back) and the
-// narrowed pairs.
+// clientScratch holds one batch's narrowed pairs; the stream transport
+// copies them into its own frame buffer before Batch returns, so the
+// slice is reusable once the call ends.
 type clientScratch struct {
-	frame []byte
 	pairs [][2]uint32
 }
 
 var clientScratchPool = sync.Pool{New: func() any { return new(clientScratch) }}
-
-// batchBinary sends pairs as one wireproto request frame over HTTP,
-// encoding into sc's frame buffer.
-func (c *Client) batchBinary(ctx context.Context, sc *clientScratch, pairs [][2]uint32) ([]bool, error) {
-	n := len(pairs)
-	size := wireproto.RequestSize(n)
-	if cap(sc.frame) < size {
-		sc.frame = make([]byte, size)
-	}
-	frame := sc.frame[:size]
-	wireproto.EncodeRequest(frame, pairs)
-
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/batch", bytes.NewReader(frame))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", wireproto.ContentType)
-	if id := obs.TraceFrom(ctx); id != "" {
-		req.Header.Set(obs.TraceHeader, id)
-	}
-	c.counters.framesBinary.Add(1)
-	c.counters.txBinary.Add(int64(size))
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		se := &StatusError{Status: resp.StatusCode}
-		if raw, rerr := io.ReadAll(io.LimitReader(resp.Body, 4096)); rerr == nil {
-			c.counters.rxBinary.Add(int64(len(raw)))
-			if _, msg, derr := wireproto.DecodeError(raw); derr == nil {
-				se.Body = msg
-			} else {
-				// Not an error frame — a proxy or mux answered. Keep the
-				// same best-effort body decoding the JSON path uses.
-				var eresp server.ErrorResponse
-				if json.Unmarshal(raw, &eresp) == nil && eresp.Error != "" {
-					se.Body = eresp.Error
-				} else {
-					se.Body = string(bytes.TrimSpace(raw))
-				}
-			}
-		}
-		if ra, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil && ra > 0 {
-			se.RetryAfter = ra
-		}
-		return nil, se
-	}
-
-	// Success: the response frame is exactly ResponseSize(n) bytes and
-	// fits in the request's buffer (results are bit-packed).
-	rsize := wireproto.ResponseSize(n)
-	rframe := sc.frame[:rsize]
-	if _, err := io.ReadFull(resp.Body, rframe); err != nil {
-		return nil, fmt.Errorf("reading response frame: %w", err)
-	}
-	var trailer [1]byte
-	if extra, _ := resp.Body.Read(trailer[:]); extra != 0 {
-		return nil, fmt.Errorf("replica sent trailing bytes after response frame")
-	}
-	c.counters.rxBinary.Add(int64(rsize))
-	m, err := wireproto.ResponseCount(rframe)
-	if err != nil {
-		return nil, fmt.Errorf("bad response frame: %w", err)
-	}
-	if m != n {
-		return nil, fmt.Errorf("replica answered %d results for %d pairs", m, n)
-	}
-	results := make([]bool, n)
-	if err := wireproto.DecodeResponse(rframe, results); err != nil {
-		return nil, fmt.Errorf("bad response frame: %w", err)
-	}
-	return results, nil
-}
 
 // CloseIdleConnections releases the client's pooled keep-alive
 // connections — HTTP keep-alives and the mux pool both.

@@ -259,13 +259,6 @@ type ReplicaStats struct {
 	// so one router stats read spots a replica running stale code.
 	GoVersion string `json:"go_version,omitempty"`
 	Revision  string `json:"revision,omitempty"`
-	// Transport is how batches currently travel: "mux" when the router
-	// negotiated the persistent stream transport from the replica's
-	// healthz advertisement, "http" otherwise. (A mux replica still
-	// falls back to HTTP per batch when no connection is up; Transport
-	// reports the negotiation, which is deterministic, not the last
-	// batch's route, which is not.)
-	Transport string `json:"transport"`
 	InFlight  int64  `json:"in_flight"`
 	// Requests/Errors/Rejected count what THIS router sent the replica;
 	// the replica's own lifetime counters are under Upstream.
@@ -346,18 +339,13 @@ func (rt *Router) Stats(ctx context.Context) RouterStats {
 	}
 	var wg sync.WaitGroup
 	for i, r := range rt.replicas {
-		transport := "http"
-		if r.client.MuxActive() {
-			transport = "mux"
-		}
 		st := ReplicaStats{
-			Base:      r.base,
-			State:     stateName(r.state.Load()),
-			Transport: transport,
-			InFlight:  r.inflight.Load(),
-			Requests:  r.requests.Load(),
-			Errors:    r.errors.Load(),
-			Rejected:  r.rejected.Load(),
+			Base:     r.base,
+			State:    stateName(r.state.Load()),
+			InFlight: r.inflight.Load(),
+			Requests: r.requests.Load(),
+			Errors:   r.errors.Load(),
+			Rejected: r.rejected.Load(),
 		}
 		if id := r.ident.Load(); id != nil {
 			st.Fingerprint = id.Fingerprint

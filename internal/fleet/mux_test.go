@@ -2,58 +2,38 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"net"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
+	"time"
 
-	reach "repro"
+	"repro/internal/mux"
 	"repro/internal/server"
 )
 
-// startMuxReplica is startReplica plus a stream-transport listener: the
-// kernel-assigned mux address goes into server.Config before server.New
-// so healthz advertises it, mirroring reachd -mux-addr.
-func startMuxReplica(t *testing.T, g *reach.Graph, oracle *reach.Oracle) string {
-	t.Helper()
-	muxLn, err := net.Listen("tcp", "127.0.0.1:0")
+// TestNewEnrollsMuxFleet: right after New returns against live mux
+// replicas, every one is enrolled (the synchronous first probe round
+// includes the mux handshake), and batches ride the stream transport
+// with correct answers and no JSON sub-batch.
+func TestNewEnrollsMuxFleet(t *testing.T) {
+	g, oracle := realOracle(t)
+	var bases []string
+	for range 3 {
+		bases = append(bases, startReplica(t, g, oracle, server.Config{}))
+	}
+	cfg := silentCfg(bases...)
+	cfg.MinSubBatch = 16
+	rt, err := New(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := server.New(g, oracle, server.Config{MuxAddr: muxLn.Addr().String()})
-	ms := s.NewMuxServer(func(string, ...any) {})
-	go ms.Serve(muxLn)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel() // force-close; clients are gone by cleanup time
-		ms.Shutdown(ctx)
-		s.Close()
-	})
-	return ts.URL
-}
-
-// TestMuxNegotiation: a mux-advertising replica and an HTTP-only one
-// behind the same router. The router must open the stream transport to
-// the first (and report it in /v1/stats), send binary frames over plain
-// HTTP to the second, and merge correct answers out of the mixed scatter
-// with batch traffic actually flowing over both transports.
-func TestMuxNegotiation(t *testing.T) {
-	g, oracle := realOracle(t)
-	muxBase := startMuxReplica(t, g, oracle)
-	httpBase := startReplica(t, g, oracle, server.Config{})
-
-	cfg := silentCfg(muxBase, httpBase)
-	cfg.MinSubBatch = 16
-	rt := newTestRouter(t, cfg)
-
-	byBase := replicaStatsByBase(t, rt)
-	if got := byBase[muxBase].Transport; got != "mux" {
-		t.Fatalf("mux-advertising replica negotiated transport %q, want \"mux\"", got)
-	}
-	if got := byBase[httpBase].Transport; got != "http" {
-		t.Fatalf("HTTP-only replica negotiated transport %q, want \"http\"", got)
+	defer rt.Close()
+	if got := len(rt.healthy(nil)); got != 3 {
+		t.Fatalf("%d of 3 live mux replicas enrolled when New returned", got)
 	}
 
 	rng := rand.New(rand.NewSource(11))
@@ -69,29 +49,26 @@ func TestMuxNegotiation(t *testing.T) {
 		}
 		for i, p := range pairs {
 			if res[i] != oracle.Reachable(uint32(p[0]), uint32(p[1])) {
-				t.Fatalf("round %d: mixed-transport batch result %d disagrees with oracle", round, i)
+				t.Fatalf("round %d: batch result %d disagrees with oracle", round, i)
 			}
 		}
 	}
-	if tx, rx := rt.met.muxTraffic.FramesTx.Load(), rt.met.muxTraffic.FramesRx.Load(); tx == 0 || rx == 0 {
-		t.Fatalf("mux frame counters tx=%d rx=%d, want both positive", tx, rx)
+	if tx, rx := rt.met.muxTraffic.FramesTx.Load(), rt.met.muxTraffic.FramesRx.Load(); tx == 0 || tx != rx {
+		t.Fatalf("mux frame counters tx=%d rx=%d, want equal and positive", tx, rx)
 	}
 	if tx, rx := rt.met.muxTraffic.BytesTx.Load(), rt.met.muxTraffic.BytesRx.Load(); tx == 0 || rx == 0 {
 		t.Fatalf("mux byte counters tx=%d rx=%d, want both positive", tx, rx)
 	}
-	if rt.replicas[0].client.MuxOpenConns()+rt.replicas[1].client.MuxOpenConns() == 0 {
-		t.Fatal("no open mux connections after mux-routed batches")
-	}
-	if tx, rx := rt.met.wire.txBinary.Load(), rt.met.wire.rxBinary.Load(); tx == 0 || rx == 0 {
-		t.Fatalf("binary-over-HTTP byte counters tx=%d rx=%d, want both positive", tx, rx)
+	if n := rt.met.wire.framesJSON.Load(); n != 0 {
+		t.Fatalf("%d JSON sub-batches for u32 IDs, want 0", n)
 	}
 }
 
-// TestMuxFallbackToHTTP: when every stream-transport connection is
-// refused (the advertised listener is gone but the replica's HTTP side
-// is alive — say the mux port got firewalled), batches must degrade to
-// HTTP per batch without ejecting the replica or surfacing an error.
-func TestMuxFallbackToHTTP(t *testing.T) {
+// TestDeadMuxListenerNotEnrolled: a replica whose advertised mux
+// listener is dead stays down even though its HTTP healthz answers
+// (batches would have nowhere to go), and batches go to the healthy
+// replica.
+func TestDeadMuxListenerNotEnrolled(t *testing.T) {
 	g, oracle := realOracle(t)
 	// A listener bound and immediately closed: a dialable-looking
 	// advertisement with nothing behind it.
@@ -101,35 +78,153 @@ func TestMuxFallbackToHTTP(t *testing.T) {
 	}
 	deadAddr := deadLn.Addr().String()
 	deadLn.Close()
-	base := startReplica(t, g, oracle, server.Config{MuxAddr: deadAddr})
+	dead := server.New(g, oracle, server.Config{MuxAddr: deadAddr})
+	deadTS := httptest.NewServer(dead.Handler())
+	t.Cleanup(func() { deadTS.Close(); dead.Close() })
+	live := startReplica(t, g, oracle, server.Config{})
 
-	cfg := silentCfg(base)
-	rt := newTestRouter(t, cfg)
-
-	// Negotiation believes the advertisement (the pool dials lazily)...
-	if got := replicaStatsByBase(t, rt)[base].Transport; got != "mux" {
-		t.Fatalf("negotiated transport %q, want \"mux\" (advertisement taken at face value)", got)
+	rt := newTestRouter(t, silentCfg(deadTS.URL, live))
+	if st := replicaStatsByBase(t, rt); st[deadTS.URL].State != "down" || st[live].State != "healthy" {
+		t.Fatalf("states dead=%q live=%q after New, want down and healthy",
+			st[deadTS.URL].State, st[live].State)
 	}
-	// ...but batches must still come back right, over HTTP.
-	res, err := rt.Batch(context.Background(), [][2]uint64{{1, 2}, {3, 4}})
+	resp, err := http.Get(deadTS.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range [][2]uint64{{1, 2}, {3, 4}} {
-		if res[i] != oracle.Reachable(uint32(p[0]), uint32(p[1])) {
-			t.Fatalf("fallback batch result %d disagrees with oracle", i)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("dead-mux replica's healthz answered %d, want 200", resp.StatusCode)
+	}
+
+	pairs := [][2]uint64{{1, 2}, {3, 4}, {5, 9}}
+	for range 10 {
+		res, err := rt.Batch(context.Background(), pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range pairs {
+			if res[i] != oracle.Reachable(uint32(p[0]), uint32(p[1])) {
+				t.Fatalf("batch result %d disagrees with oracle", i)
+			}
 		}
 	}
-	if rt.met.muxTraffic.FramesTx.Load() != 0 {
-		t.Fatal("dead mux listener cannot have carried frames")
+	if n := dead.Stats().Server.BatchRequests; n != 0 {
+		t.Fatalf("dead-mux replica served %d batches, want 0", n)
 	}
-	if rt.met.wire.framesBinary.Load() == 0 {
-		t.Fatal("fallback batch did not go over HTTP binary")
+}
+
+// TestUseMuxDialsOnlyWithoutLiveConn: UseMux, which every probe calls,
+// dials only when the pool holds no live connection, so probing a
+// replica that serves batches never dials a spare slot, whose failure
+// would mark the replica down.
+func TestUseMuxDialsOnlyWithoutLiveConn(t *testing.T) {
+	f := newFakeReplica("f1", xorAnswer)
+	base := f.start(t)
+	c := NewClient(base, time.Second)
+	c.muxCounters = &mux.Counters{}
+	t.Cleanup(c.CloseIdleConnections)
+	for range 5 {
+		if err := c.UseMux(context.Background(), f.muxAddr, f.fingerprint); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The replica must still be enrolled: mux trouble is a transport
-	// detail, not a health signal — HTTP liveness decides ejection.
-	if got := len(rt.healthy(nil)); got != 1 {
-		t.Fatalf("%d healthy replicas after mux fallback, want 1", got)
+	f.muxLn.mu.Lock()
+	n := len(f.muxLn.conns)
+	f.muxLn.mu.Unlock()
+	if n != 1 || c.MuxOpenConns() != 1 {
+		t.Fatalf("5 UseMux calls dialed %d connections (%d open), want the first call's 1", n, c.MuxOpenConns())
+	}
+}
+
+// TestStreamDeathRetriedOnce: closing the mux connection under an
+// in-flight batch costs one retry on another pool connection, not the
+// replica: the batch answers, the replica stays enrolled, and the
+// router neither fails over nor retries at its level.
+func TestStreamDeathRetriedOnce(t *testing.T) {
+	f := newFakeReplica("f1", xorAnswer)
+	inFlight := make(chan struct{})
+	release := make(chan struct{})
+	var held atomic.Bool
+	f.hold = func() {
+		if held.CompareAndSwap(false, true) {
+			close(inFlight)
+			<-release
+		}
+	}
+	base := f.start(t)
+	rt := newTestRouter(t, silentCfg(base))
+
+	pairs := [][2]uint64{{1, 2}, {3, 4}, {6, 9}}
+	type result struct {
+		res []bool
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := rt.Batch(context.Background(), pairs)
+		done <- result{res, err}
+	}()
+	<-inFlight
+	// The connection carrying the batch has read a request frame on top
+	// of its handshake, so it is the busiest one.
+	f.muxLn.busiest().Close()
+	close(release)
+	got := <-done
+	if got.err != nil {
+		t.Fatalf("batch failed after its stream died: %v", got.err)
+	}
+	for i, p := range pairs {
+		if got.res[i] != xorAnswer(p[0], p[1]) {
+			t.Fatalf("result %d wrong after the retry", i)
+		}
+	}
+	if n := f.batchCalls.Load(); n != 2 {
+		t.Fatalf("replica saw %d batch calls, want 2 (the lost one and one retry)", n)
+	}
+	if fo, re := rt.met.failovers.Load(), rt.met.retries.Load(); fo != 0 || re != 0 {
+		t.Fatalf("failovers=%d retries=%d, want 0 and 0", fo, re)
+	}
+	if st := replicaStatsByBase(t, rt)[base].State; st != "healthy" {
+		t.Fatalf("replica %s after one lost stream, want healthy", st)
+	}
+}
+
+// TestOverLimitSubBatch413: a sub-batch over a replica's -max-batch
+// (smaller than the router's) comes back as an in-band 413 that the
+// router relays to its client; the replica is not ejected, since the
+// refusal is about the batch, not the replica.
+func TestOverLimitSubBatch413(t *testing.T) {
+	g, oracle := realOracle(t)
+	base := startReplica(t, g, oracle, server.Config{MaxBatchPairs: 4})
+	rt := newTestRouter(t, silentCfg(base))
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+
+	pairs := make([][2]uint64, 10)
+	_, err := rt.Batch(context.Background(), pairs)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-limit batch returned %v, want *StatusError 413", err)
+	}
+	resp, _ := postBatch(t, ts.URL, pairs)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-limit batch through the router's HTTP edge: status %d, want 413", resp.StatusCode)
+	}
+	if fo := rt.met.failovers.Load(); fo != 0 {
+		t.Fatalf("%d failovers after a 413, want 0", fo)
+	}
+	if st := replicaStatsByBase(t, rt)[base].State; st != "healthy" {
+		t.Fatalf("replica %s after a 413, want healthy", st)
+	}
+	res, err := rt.Batch(context.Background(), pairs[:4])
+	if err != nil {
+		t.Fatalf("batch within the limit after the 413: %v", err)
+	}
+	for i, p := range pairs[:4] {
+		if res[i] != oracle.Reachable(uint32(p[0]), uint32(p[1])) {
+			t.Fatalf("result %d disagrees with oracle", i)
+		}
 	}
 }
 

@@ -216,15 +216,14 @@ type routerMetrics struct {
 	edgeDecode *obs.Histogram
 	edgeEncode *obs.Histogram
 
-	// wire tallies batch traffic to replicas by encoding, shared across
-	// every replica client; same series names as the replicas' own, so
-	// one scrape query shows both tiers (tx here is rx there).
-	wire wireCounters
-	// muxTraffic is the stream-transport sibling of wire, shared across
-	// every replica client's mux pool; exposed as reach_mux_frames_total
-	// / reach_mux_bytes_total, again mirroring the replicas' own series
-	// (tx here is rx there).
+	// muxTraffic tallies the frames every replica client's mux pool
+	// exchanges, exposed as reach_mux_frames_total /
+	// reach_mux_bytes_total under the replicas' own series names, so one
+	// scrape query shows both tiers (tx here is rx there).
 	muxTraffic mux.Counters
+	// wire does the same for the JSON sub-batches (IDs wider than u32)
+	// that go over HTTP instead.
+	wire wireCounters
 
 	slow *obs.SlowLog
 }
@@ -260,18 +259,12 @@ func (m *routerMetrics) init() {
 	m.reg.CounterFunc("reach_router_failovers_total", "Transport failures that ejected a replica.", nil, m.failovers.Load)
 	m.reg.CounterFunc("reach_router_no_replica_errors_total", "Requests failed for want of any healthy replica.", nil, m.noReplicas.Load)
 	m.reg.CounterFunc("reach_router_probes_total", "Health probes issued to replicas.", nil, m.probes.Load)
-	m.reg.CounterFunc("reach_wire_frames_total", "Sub-batches sent to replicas, by encoding.",
+	m.reg.CounterFunc("reach_wire_frames_total", "JSON sub-batches sent to replicas over HTTP (batches holding an ID wider than u32).",
 		obs.Labels{"encoding": "json"}, m.wire.framesJSON.Load)
-	m.reg.CounterFunc("reach_wire_frames_total", "Sub-batches sent to replicas, by encoding.",
-		obs.Labels{"encoding": "binary"}, m.wire.framesBinary.Load)
-	m.reg.CounterFunc("reach_wire_bytes_total", "Batch body bytes exchanged with replicas, by direction (tx = requests sent, rx = responses read) and encoding.",
+	m.reg.CounterFunc("reach_wire_bytes_total", "JSON batch body bytes exchanged with replicas, by direction (tx = requests sent, rx = responses read) and encoding.",
 		obs.Labels{"direction": "rx", "encoding": "json"}, m.wire.rxJSON.Load)
-	m.reg.CounterFunc("reach_wire_bytes_total", "Batch body bytes exchanged with replicas, by direction (tx = requests sent, rx = responses read) and encoding.",
+	m.reg.CounterFunc("reach_wire_bytes_total", "JSON batch body bytes exchanged with replicas, by direction (tx = requests sent, rx = responses read) and encoding.",
 		obs.Labels{"direction": "tx", "encoding": "json"}, m.wire.txJSON.Load)
-	m.reg.CounterFunc("reach_wire_bytes_total", "Batch body bytes exchanged with replicas, by direction (tx = requests sent, rx = responses read) and encoding.",
-		obs.Labels{"direction": "rx", "encoding": "binary"}, m.wire.rxBinary.Load)
-	m.reg.CounterFunc("reach_wire_bytes_total", "Batch body bytes exchanged with replicas, by direction (tx = requests sent, rx = responses read) and encoding.",
-		obs.Labels{"direction": "tx", "encoding": "binary"}, m.wire.txBinary.Load)
 	m.reg.CounterFunc("reach_mux_frames_total", "Stream-transport frames exchanged with replicas, by direction (tx = requests sent, rx = responses read).",
 		obs.Labels{"direction": "tx"}, m.muxTraffic.FramesTx.Load)
 	m.reg.CounterFunc("reach_mux_frames_total", "Stream-transport frames exchanged with replicas, by direction (tx = requests sent, rx = responses read).",
@@ -401,13 +394,30 @@ func (rt *Router) probeLoop() {
 }
 
 // probe health-checks one replica and moves it through the lifecycle:
-// healthy on a fingerprint match, mismatched on a conflicting claim,
-// down (with exponential re-probe backoff) when unreachable.
+// healthy on a fingerprint match plus a live mux connection, mismatched
+// on a conflicting claim, down (with exponential re-probe backoff) when
+// unreachable or when its stream transport is.
 func (rt *Router) probe(r *replica) {
 	rt.met.probes.Add(1)
 	ctx, cancel := context.WithTimeout(rt.baseCtx, rt.cfg.ProbeTimeout)
+	defer cancel()
 	hz, err := r.client.Healthz(ctx)
-	cancel()
+	var id identity
+	matched := false
+	if err == nil {
+		id = identity{
+			Fingerprint: hz.Fingerprint, Method: hz.Method, Vertices: hz.Vertices,
+			GoVersion: hz.GoVersion, Revision: hz.Revision,
+		}
+		r.ident.Store(&id)
+		if matched = rt.enroll(&id); matched {
+			// Sub-batches travel only over the stream transport, so the
+			// replica is up only if this same probe holds a live mux
+			// connection to it: one from earlier, or one it just dialed
+			// and handshook.
+			err = r.client.UseMux(ctx, resolveMuxAddr(r.base, hz.Mux), hz.Fingerprint)
+		}
+	}
 
 	r.mu.Lock()
 	defer func() {
@@ -421,24 +431,14 @@ func (rt *Router) probe(r *replica) {
 			backoff = rt.cfg.MaxProbeBackoff
 		}
 		r.nextProbe = time.Now().Add(backoff)
-		if prev := r.state.Swap(stateDown); prev == stateHealthy {
+		if prev := r.state.Swap(stateDown); prev != stateDown {
 			rt.cfg.Logf("fleet: replica %s down (%v); next probe in %s", r.base, err, backoff)
 		}
 		return
 	}
-	id := identity{
-		Fingerprint: hz.Fingerprint, Method: hz.Method, Vertices: hz.Vertices,
-		GoVersion: hz.GoVersion, Revision: hz.Revision,
-	}
-	r.ident.Store(&id)
-	// Transport, re-decided at every probe: a replica that advertises a
-	// mux listener gets the persistent stream transport, torn down when
-	// the advertisement disappears (say a replica restarted without
-	// -mux-addr); an empty or unparseable advertisement resolves to "".
-	r.client.UseMux(resolveMuxAddr(r.base, hz.Mux), hz.Fingerprint)
 	r.consecFails = 0
 	r.nextProbe = time.Now().Add(rt.cfg.ProbeInterval)
-	if !rt.enroll(&id) {
+	if !matched {
 		if prev := r.state.Swap(stateMismatched); prev != stateMismatched {
 			rt.cfg.Logf("fleet: REFUSING replica %s: it serves fingerprint %s, fleet serves %s — mixed-graph fleets return wrong answers",
 				r.base, id.Fingerprint, rt.FleetIdentity().Fingerprint)

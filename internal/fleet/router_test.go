@@ -6,13 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,9 +20,9 @@ import (
 	reach "repro"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mux"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/wireproto"
 )
 
 // Fake replica behavior modes.
@@ -32,36 +32,38 @@ const (
 	mode500
 )
 
-// fakeReplica is a scripted reachd stand-in: it answers the v1 wire
-// protocol (JSON, and wireproto frames on /v1/batch) from a pure
-// function and can be told to shed (429), fail (500), delay, or die and
-// come back on the same address.
+// fakeReplica is a scripted reachd stand-in: it answers singles over
+// HTTP and batches over its own mux listener (advertised in healthz)
+// from a pure function, and can be told to shed (429), fail (500),
+// delay, or die and come back on the same addresses.
 type fakeReplica struct {
 	fingerprint string
 	answer      func(u, v uint64) bool
 	mode        atomic.Int32
-	batchMode   atomic.Int32 // overrides mode for /v1/batch when set
+	batchMode   atomic.Int32 // overrides mode for batches when set
 	delay       time.Duration
 	retryAfter  int
+	// hold, when set, runs at the start of every batch; a test blocks
+	// in it to keep a batch in flight.
+	hold func()
 
 	queries    atomic.Int64 // pairs answered (single + batch)
 	batchCalls atomic.Int64
-	lastTrace  atomic.Value // X-Reach-Trace header of the last query received
+	lastTrace  atomic.Value // trace ID of the last query received
 
-	addr string
-	srv  *http.Server
+	addr, muxAddr string
+	srv           *http.Server
+	muxSrv        *mux.Server
+	muxLn         *trackingListener
 }
 
 func newFakeReplica(fingerprint string, answer func(u, v uint64) bool) *fakeReplica {
 	return &fakeReplica{fingerprint: fingerprint, answer: answer, retryAfter: 1}
 }
 
-// start begins serving; on the first call it binds a fresh loopback
-// port, later calls rebind the same address so re-enrollment after a
-// "crash" can be tested.
-func (f *fakeReplica) start(t *testing.T) string {
+// listenAt binds addr, or a fresh loopback port when addr is empty.
+func listenAt(t *testing.T, addr string) net.Listener {
 	t.Helper()
-	addr := f.addr
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
@@ -69,16 +71,33 @@ func (f *fakeReplica) start(t *testing.T) string {
 	if err != nil {
 		t.Fatalf("fake replica listen %s: %v", addr, err)
 	}
-	f.addr = ln.Addr().String()
+	return ln
+}
+
+// start begins serving HTTP and mux; on the first call it binds fresh
+// loopback ports, later calls rebind the same addresses so
+// re-enrollment after a "crash" can be tested.
+func (f *fakeReplica) start(t *testing.T) string {
+	t.Helper()
+	ln := listenAt(t, f.addr)
+	f.muxLn = &trackingListener{Listener: listenAt(t, f.muxAddr)}
+	f.addr, f.muxAddr = ln.Addr().String(), f.muxLn.Addr().String()
 	f.srv = &http.Server{Handler: f.handler()}
+	f.muxSrv = mux.NewServer(mux.ServerConfig{Batch: f.muxBatch, Fingerprint: f.fingerprint})
 	go f.srv.Serve(ln)
-	t.Cleanup(func() { f.srv.Close() })
+	go f.muxSrv.Serve(f.muxLn)
+	t.Cleanup(f.stop)
 	return "http://" + f.addr
 }
 
-// stop kills the fake abruptly: the listener and every open connection
-// close, as SIGKILL on a real replica would.
-func (f *fakeReplica) stop() { f.srv.Close() }
+// stop kills the fake abruptly: both listeners and every open
+// connection close, as SIGKILL on a real replica would.
+func (f *fakeReplica) stop() {
+	f.srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // force-close rather than drain
+	f.muxSrv.Shutdown(ctx)
+}
 
 // shed reports whether the current mode hijacked the response.
 func (f *fakeReplica) shed(w http.ResponseWriter, mode int32) bool {
@@ -101,7 +120,7 @@ func (f *fakeReplica) handler() http.Handler {
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		json.NewEncoder(w).Encode(server.HealthzResponse{
 			Status: "ok", Method: "FAKE", Vertices: 1000,
-			Fingerprint: f.fingerprint, Source: "snapshot",
+			Fingerprint: f.fingerprint, Source: "snapshot", Mux: f.muxAddr,
 		})
 	})
 	mux.HandleFunc("GET /v1/reachable", func(w http.ResponseWriter, r *http.Request) {
@@ -117,37 +136,6 @@ func (f *fakeReplica) handler() http.Handler {
 		f.queries.Add(1)
 		json.NewEncoder(w).Encode(server.ReachableResponse{U: u, V: v, Reachable: f.answer(u, v)})
 	})
-	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
-		f.lastTrace.Store(r.Header.Get(obs.TraceHeader))
-		f.batchCalls.Add(1)
-		if f.delay > 0 {
-			// Shuffled completion: each sub-batch takes a random slice of
-			// the configured delay, so gather order != dispatch order.
-			time.Sleep(time.Duration(rand.Int63n(int64(f.delay))))
-		}
-		mode := f.batchMode.Load()
-		if mode == modeOK {
-			mode = f.mode.Load()
-		}
-		if f.shed(w, mode) {
-			return
-		}
-		if r.Header.Get("Content-Type") == wireproto.ContentType {
-			f.batchBinary(w, r)
-			return
-		}
-		var req server.BatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			w.WriteHeader(http.StatusBadRequest)
-			return
-		}
-		results := make([]bool, len(req.Pairs))
-		for i, p := range req.Pairs {
-			results[i] = f.answer(p[0], p[1])
-		}
-		f.queries.Add(int64(len(req.Pairs)))
-		json.NewEncoder(w).Encode(server.BatchResponse{Count: len(results), Results: results})
-	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, _ *http.Request) {
 		var st server.Stats
 		st.Graph.Vertices = 1000
@@ -157,31 +145,78 @@ func (f *fakeReplica) handler() http.Handler {
 	return mux
 }
 
-// batchBinary answers one wireproto request frame with a response frame.
-func (f *fakeReplica) batchBinary(w http.ResponseWriter, r *http.Request) {
-	frame, err := io.ReadAll(r.Body)
-	if err != nil {
-		w.WriteHeader(http.StatusBadRequest)
-		return
+// muxBatch is the fake's mux.BatchFunc: the batch half of its scripted
+// behavior, with sheds and failures as in-band error frames.
+func (f *fakeReplica) muxBatch(_ context.Context, trace string, pairs [][2]uint32, out []bool) error {
+	f.lastTrace.Store(trace)
+	f.batchCalls.Add(1)
+	if f.hold != nil {
+		f.hold()
 	}
-	n, err := wireproto.RequestCount(frame)
-	if err != nil {
-		w.WriteHeader(http.StatusBadRequest)
-		return
+	if f.delay > 0 {
+		// Shuffled completion: each sub-batch takes a random slice of
+		// the configured delay, so gather order != dispatch order.
+		time.Sleep(time.Duration(rand.Int63n(int64(f.delay))))
 	}
-	pairs := make([][2]uint32, n)
-	if err := wireproto.DecodeRequest(frame, pairs); err != nil {
-		w.WriteHeader(http.StatusBadRequest)
-		return
+	mode := f.batchMode.Load()
+	if mode == modeOK {
+		mode = f.mode.Load()
 	}
-	results := make([]bool, n)
+	switch mode {
+	case mode429:
+		return &mux.Fail{Status: http.StatusTooManyRequests, Msg: "shedding"}
+	case mode500:
+		return &mux.Fail{Status: http.StatusInternalServerError, Msg: "injected failure"}
+	}
 	for i, p := range pairs {
-		results[i] = f.answer(uint64(p[0]), uint64(p[1]))
+		out[i] = f.answer(uint64(p[0]), uint64(p[1]))
 	}
-	f.queries.Add(int64(n))
-	out := make([]byte, wireproto.ResponseSize(n))
-	w.Header().Set("Content-Type", wireproto.ContentType)
-	w.Write(out[:wireproto.EncodeResponse(out, results)])
+	f.queries.Add(int64(len(pairs)))
+	return nil
+}
+
+// trackingListener records the connections it accepts and how many
+// bytes each has read, so a test can cut the one carrying a batch.
+type trackingListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []*countingConn
+}
+
+type countingConn struct {
+	net.Conn
+	read atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.read.Add(int64(n))
+	return n, err
+}
+
+func (l *trackingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	cc := &countingConn{Conn: c}
+	l.mu.Lock()
+	l.conns = append(l.conns, cc)
+	l.mu.Unlock()
+	return cc, nil
+}
+
+// busiest returns the accepted connection that has read the most bytes.
+func (l *trackingListener) busiest() net.Conn {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var best *countingConn
+	for _, c := range l.conns {
+		if best == nil || c.read.Load() > best.read.Load() {
+			best = c
+		}
+	}
+	return best
 }
 
 // silentCfg keeps test logs quiet and probe cycles fast.
@@ -634,10 +669,7 @@ func TestRouterAgainstRealServers(t *testing.T) {
 	}
 	var bases []string
 	for i := 0; i < 3; i++ {
-		s := server.New(g, oracle, server.Config{})
-		ts := httptest.NewServer(s.Handler())
-		t.Cleanup(func() { ts.Close(); s.Close() })
-		bases = append(bases, ts.URL)
+		bases = append(bases, startReplica(t, g, oracle, server.Config{}))
 	}
 	cfg := silentCfg(bases...)
 	cfg.MinSubBatch = 16

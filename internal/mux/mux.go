@@ -1,22 +1,25 @@
-// Package mux is the persistent multiplexed raw-TCP transport for
-// router↔replica batch traffic: wireproto frames prefixed with a small
-// stream envelope travel over a few long-lived connections per replica,
-// so the fleet router pipelines many in-flight batches without paying
-// HTTP/1.1 header parsing or per-request connection bookkeeping on
-// every call. PR 9 made the framing free; this makes the transport
-// around it (nearly) free too.
+// Package mux is the router↔replica batch transport: wireproto frames
+// prefixed with a small stream envelope travel over a few long-lived
+// raw-TCP connections per replica, so the fleet router pipelines many
+// in-flight batches without paying HTTP/1.1 header parsing or
+// per-request connection bookkeeping on every call. It is the only
+// interior path for batches whose vertex IDs fit u32; JSON over HTTP is
+// left to wider IDs and to direct clients.
 //
 // The first frame in each direction is a handshake carrying a
 // capability mask and the snapshot fingerprint, so the enrollment-grade
 // identity check the router performs over HTTP survives raw-TCP
 // reconnects: a replica restarted onto a different snapshot refuses the
-// connection with an in-band 409 error frame and the client falls back
-// to HTTP (where the probe loop will notice the fingerprint change).
+// connection with an in-band 409 error frame. The router enrolls a
+// replica only after such a handshake succeeds.
 //
-// The transport is strictly an optimization: every failure — dial
-// refused, handshake mismatch, connection death mid-batch — degrades to
-// the negotiated HTTP path, never to a wrong answer. Steady-state send
-// and receive allocate nothing on either side (AllocsPerRun-pinned).
+// Per-batch refusals (a malformed or over-limit frame, a full admission
+// gate, an expired deadline) travel in-band as error frames on the
+// batch's own stream and leave the connection serving. A connection
+// that dies is a transport error: the fleet client retries the batch
+// once on another connection, and then the router fails over to
+// another replica — never a wrong answer. Steady-state send and receive
+// allocate nothing on either side (AllocsPerRun-pinned).
 package mux
 
 import (
@@ -46,10 +49,6 @@ const (
 var (
 	// ErrClosed: the connection or pool has been closed (or died).
 	ErrClosed = errors.New("mux: connection closed")
-	// ErrNoConn: the pool has no live connection and will not dial now
-	// (backoff, or another goroutine is already dialing). Callers fall
-	// back to HTTP for this batch.
-	ErrNoConn = errors.New("mux: no connection available")
 	// ErrFingerprint: the peer serves a different snapshot than this
 	// side expects — the raw-TCP analogue of refusing enrollment.
 	ErrFingerprint = errors.New("mux: snapshot fingerprint mismatch")
@@ -60,9 +59,9 @@ var (
 
 // Fail is an in-band error frame surfaced as a Go error: the
 // HTTP-shaped status and message a replica sent instead of a response
-// frame. It mirrors the semantics of an HTTP error on the fallback
-// path, so the fleet client maps both to the same handling (429 fails
-// over, 5xx retries elsewhere, and so on).
+// frame. The fleet client maps it to the same handling as an HTTP error
+// status (429 fails over, 5xx retries elsewhere, other 4xx pass
+// through).
 type Fail struct {
 	Status int
 	Msg    string

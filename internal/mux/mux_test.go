@@ -300,7 +300,7 @@ func TestPoolReconnect(t *testing.T) {
 	cancel()
 
 	// The old conns die; Get redials (the first attempt may race the
-	// restart, so allow the backoff to retry for a while).
+	// restart, so retry for a while).
 	ln2, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -333,6 +333,133 @@ func TestPoolReconnect(t *testing.T) {
 	}
 	if n := p.OpenConns(); n < 1 {
 		t.Fatalf("OpenConns = %d after reconnect", n)
+	}
+}
+
+// holdListener keeps each connection accepted while hold is set from
+// reaching the server until the test sends on release, so a client's
+// dial (its handshake) stays in flight; accepted signals each such
+// connection.
+type holdListener struct {
+	net.Listener
+	hold     atomic.Bool
+	drop     atomic.Bool // close the next connection after its hold instead of serving it
+	accepted chan struct{}
+	release  chan struct{}
+	n        atomic.Int64
+}
+
+func (l *holdListener) Accept() (net.Conn, error) {
+	for {
+		c, err := l.Listener.Accept()
+		if err != nil {
+			return c, err
+		}
+		l.n.Add(1)
+		if l.hold.Load() {
+			l.accepted <- struct{}{}
+			<-l.release
+		}
+		if !l.drop.CompareAndSwap(true, false) {
+			return c, nil
+		}
+		c.Close()
+	}
+}
+
+// TestPoolGetSharesDials: while one caller dials a slot, Get hands
+// another caller any live connection at once, and with none live it
+// waits for that dial rather than dialing a second time; if that dial
+// fails, the waiter dials the slot itself.
+func TestPoolGetSharesDials(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hl := &holdListener{Listener: ln, accepted: make(chan struct{}, 1), release: make(chan struct{})}
+	s := NewServer(ServerConfig{Batch: echoBatch})
+	go s.Serve(hl)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+	addr, ctx := ln.Addr().String(), context.Background()
+	get := func(p *Pool, into chan<- *Conn) {
+		cn, err := p.Get(ctx)
+		if err != nil {
+			t.Error(err)
+		}
+		into <- cn
+	}
+
+	// One slot: a second Get arriving mid-dial shares the first's dial.
+	p1 := NewPool(addr, 1, ClientConfig{})
+	defer p1.Close()
+	hl.hold.Store(true)
+	first, second := make(chan *Conn, 1), make(chan *Conn, 1)
+	go get(p1, first)
+	<-hl.accepted
+	go get(p1, second)
+	time.Sleep(20 * time.Millisecond) // let the second Get find the slot mid-dial
+	hl.release <- struct{}{}
+	if a, b := <-first, <-second; a == nil || a != b {
+		t.Fatalf("concurrent Gets on one slot returned %p and %p, want one shared connection", a, b)
+	}
+	if n := hl.n.Load(); n != 1 {
+		t.Fatalf("%d connections accepted, want the one dial shared", n)
+	}
+
+	// Two slots, slot 1 live: a Get landing on slot 0 while it is being
+	// dialed gets slot 1's connection at once.
+	p2 := NewPool(addr, 2, ClientConfig{})
+	defer p2.Close()
+	hl.hold.Store(false)
+	live, err := p2.Get(ctx) // round-robin slot 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	hl.hold.Store(true)
+	dialed := make(chan *Conn, 1)
+	go get(p2, dialed) // slot 0, held mid-dial
+	<-hl.accepted
+	if cn, err := p2.Get(ctx); err != nil || cn != live { // slot 1 again
+		t.Fatalf("Get on the live slot = %p, %v", cn, err)
+	}
+	if cn, err := p2.Get(ctx); err != nil || cn != live { // slot 0, mid-dial
+		t.Fatalf("Get on a slot mid-dial = %p, %v; want the live connection %p", cn, err, live)
+	}
+	hl.release <- struct{}{}
+	if cn := <-dialed; cn == nil || cn == live {
+		t.Fatalf("the held dial returned %p, want a second connection", cn)
+	}
+
+	// One slot: the dial a waiter shares fails, so the waiter dials the
+	// slot itself and gets a connection; only the failed dialer errs.
+	p3 := NewPool(addr, 1, ClientConfig{})
+	defer p3.Close()
+	hl.hold.Store(true)
+	hl.drop.Store(true)
+	accepted := hl.n.Load()
+	failed := make(chan error, 1)
+	go func() {
+		_, err := p3.Get(ctx)
+		failed <- err
+	}()
+	<-hl.accepted
+	waiter := make(chan *Conn, 1)
+	go get(p3, waiter)
+	time.Sleep(20 * time.Millisecond) // let the waiter find the slot mid-dial
+	hl.hold.Store(false)
+	hl.release <- struct{}{}
+	if err := <-failed; err == nil {
+		t.Fatal("the dropped dial succeeded")
+	}
+	if cn := <-waiter; cn == nil || cn.Dead() {
+		t.Fatalf("the waiter on a failed dial got %p, want a live connection of its own", cn)
+	}
+	if n := hl.n.Load() - accepted; n != 2 {
+		t.Fatalf("%d connections accepted, want the failed dial and the waiter's own", n)
 	}
 }
 

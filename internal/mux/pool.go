@@ -4,23 +4,14 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
-)
-
-// Dial backoff after a failed attempt: exponential from 250ms to 15s.
-// A connection that dies after working redials immediately (backoff
-// only punishes failed dials, not lost connections).
-const (
-	dialBackoffMin = 250 * time.Millisecond
-	dialBackoffMax = 15 * time.Second
 )
 
 // Pool keeps a small fixed set of connections toward one replica's mux
 // listener and hands them out round-robin. Dials happen lazily on Get,
-// at most one per slot at a time; while a slot is backing off or being
-// dialed, Get returns ErrNoConn and the caller sends that batch over
-// HTTP instead — the transport never adds latency it was built to
-// remove.
+// at most one per slot at a time, and a dead connection is redialed by
+// the next Get of its slot. The pool keeps no dial backoff of its own: a
+// failed dial takes the replica out of the router's rotation, and the
+// router's probe backoff paces the redials after that.
 type Pool struct {
 	addr string
 	cfg  ClientConfig
@@ -29,9 +20,7 @@ type Pool struct {
 
 	mu      sync.Mutex
 	conns   []*Conn
-	dialing []bool
-	next    []time.Time
-	backoff []time.Duration
+	dialing []chan struct{} // non-nil while a slot is being dialed; closed when the dial ends
 	closed  bool
 }
 
@@ -47,9 +36,7 @@ func NewPool(addr string, size int, cfg ClientConfig) *Pool {
 		cfg:     cfg,
 		size:    size,
 		conns:   make([]*Conn, size),
-		dialing: make([]bool, size),
-		next:    make([]time.Time, size),
-		backoff: make([]time.Duration, size),
+		dialing: make([]chan struct{}, size),
 	}
 }
 
@@ -59,44 +46,58 @@ func (p *Pool) Addr() string { return p.addr }
 // Fingerprint returns the snapshot fingerprint this pool expects.
 func (p *Pool) Fingerprint() string { return p.cfg.Fingerprint }
 
-// Get returns a live connection, dialing one synchronously if its slot
-// is idle and not backing off. ErrNoConn means "not now, use HTTP";
-// any other error is the dial's (also a fallback signal, but worth
-// surfacing to logs).
+// Get returns a live connection. It takes the next slot round-robin: a
+// live connection there is returned at once, and an empty or dead slot
+// is dialed (handshake included) before Get returns. When another
+// caller is already dialing that slot, Get hands out any live slot
+// instead, or else waits for that dial and, if it failed, dials the
+// slot itself under its own ctx. An error is this caller's own dial
+// failing.
 func (p *Pool) Get(ctx context.Context) (*Conn, error) {
 	i := int(p.rr.Add(1)) % p.size
 	p.mu.Lock()
-	if p.closed {
+	for {
+		if p.closed {
+			p.mu.Unlock()
+			return nil, ErrClosed
+		}
+		if cn := p.conns[i]; cn != nil && !cn.Dead() {
+			p.mu.Unlock()
+			return cn, nil
+		}
+		wait := p.dialing[i]
+		if wait == nil {
+			break
+		}
+		for _, cn := range p.conns {
+			if cn != nil && !cn.Dead() {
+				p.mu.Unlock()
+				return cn, nil
+			}
+		}
 		p.mu.Unlock()
-		return nil, ErrClosed
+		select {
+		case <-wait:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		p.mu.Lock()
 	}
-	if cn := p.conns[i]; cn != nil && !cn.Dead() {
-		p.mu.Unlock()
-		return cn, nil
-	}
-	if p.dialing[i] || time.Now().Before(p.next[i]) {
-		p.mu.Unlock()
-		return nil, ErrNoConn
-	}
-	p.dialing[i] = true
+	done := make(chan struct{})
+	p.dialing[i] = done
 	p.mu.Unlock()
 
 	cn, err := Dial(ctx, p.addr, p.cfg)
 
+	// Waiters wake on done but read the slot under p.mu, so they see
+	// the new connection installed below.
 	p.mu.Lock()
-	p.dialing[i] = false
+	p.dialing[i] = nil
+	close(done)
 	if err != nil {
-		if p.backoff[i] == 0 {
-			p.backoff[i] = dialBackoffMin
-		} else if p.backoff[i] < dialBackoffMax {
-			p.backoff[i] *= 2
-		}
-		p.next[i] = time.Now().Add(p.backoff[i])
 		p.mu.Unlock()
 		return nil, err
 	}
-	p.backoff[i] = 0
-	p.next[i] = time.Time{}
 	if p.closed {
 		p.mu.Unlock()
 		cn.Close()

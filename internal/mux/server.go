@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,8 +31,8 @@ type ServerConfig struct {
 	// in-band 409. Empty disables the check (tests).
 	Fingerprint string
 
-	// MaxBatchPairs bounds one request frame, mirroring the HTTP
-	// path's batch limit. Defaults to DefaultMaxBatchPairs.
+	// MaxBatchPairs bounds one request frame; a larger one is answered
+	// with an in-band 413. Defaults to DefaultMaxBatchPairs.
 	MaxBatchPairs int
 
 	// Window bounds in-flight batches per connection; a client that
@@ -185,7 +187,8 @@ func (s *Server) logf(format string, args ...any) {
 // reuses), pairs/out are the decoded batch, trace the raw trace bytes.
 type srvScratch struct {
 	stream   uint32
-	n        int // response bytes staged in buf
+	oversize uint32 // byte length of a discarded over-limit frame, else 0
+	n        int    // response bytes staged in buf
 	buf      []byte
 	pairs    [][2]uint32
 	out      []bool
@@ -350,7 +353,9 @@ func (sc *serverConn) reader() error {
 			}
 			return err
 		}
-		stream, flags, frameLen, err := wireproto.ParseEnvelope(hdr[:wireproto.EnvelopeSize], sc.srv.maxFrame)
+		// Any length is taken here; the batch limit is applied below,
+		// where an over-limit frame is answered rather than fatal.
+		stream, flags, frameLen, err := wireproto.ParseEnvelope(hdr[:wireproto.EnvelopeSize], math.MaxInt)
 		if err != nil {
 			return err
 		}
@@ -365,10 +370,6 @@ func (sc *serverConn) reader() error {
 		}
 		w := srvScratchPool.Get().(*srvScratch)
 		w.stream = stream
-		if cap(w.buf) < wireproto.EnvelopeSize+int(frameLen) {
-			w.buf = make([]byte, wireproto.EnvelopeSize+int(frameLen))
-		}
-		w.buf = w.buf[:wireproto.EnvelopeSize+int(frameLen)]
 		w.traceStr = ""
 		if traceLen > 0 {
 			if cap(w.trace) < traceLen {
@@ -380,9 +381,26 @@ func (sc *serverConn) reader() error {
 			}
 			w.traceStr = string(w.trace[:traceLen])
 		}
-		if _, err := io.ReadFull(sc.c, w.buf[wireproto.EnvelopeSize:]); err != nil {
-			srvScratchPool.Put(w)
-			return err
+		// A frame over the batch limit is read through io.Discard's small
+		// pooled buffer, never one sized from the peer's claim, and gets
+		// an in-band 413 on its own stream: one oversized batch costs its
+		// sender an error, not the connection.
+		w.oversize = 0
+		if int64(frameLen) > int64(sc.srv.maxFrame) {
+			w.oversize = frameLen
+			if _, err := io.CopyN(io.Discard, sc.c, int64(frameLen)); err != nil {
+				srvScratchPool.Put(w)
+				return err
+			}
+		} else {
+			if cap(w.buf) < wireproto.EnvelopeSize+int(frameLen) {
+				w.buf = make([]byte, wireproto.EnvelopeSize+int(frameLen))
+			}
+			w.buf = w.buf[:wireproto.EnvelopeSize+int(frameLen)]
+			if _, err := io.ReadFull(sc.c, w.buf[wireproto.EnvelopeSize:]); err != nil {
+				srvScratchPool.Put(w)
+				return err
+			}
 		}
 		sc.srv.traffic.FramesRx.Add(1)
 		sc.srv.traffic.BytesRx.Add(int64(wireproto.EnvelopeSize + traceLen + int(frameLen)))
@@ -402,6 +420,11 @@ func (sc *serverConn) reader() error {
 // handle answers one request frame in place: the response (or error
 // frame) is staged back into w.buf behind a fresh envelope.
 func (sc *serverConn) handle(w *srvScratch) {
+	if w.oversize > 0 {
+		sc.fail(w, 413, "batch frame of "+strconv.FormatUint(uint64(w.oversize), 10)+
+			" bytes exceeds the limit of "+strconv.Itoa(sc.srv.cfg.MaxBatchPairs)+" pairs")
+		return
+	}
 	frame := w.buf[wireproto.EnvelopeSize:]
 	n, err := wireproto.RequestCount(frame)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -28,10 +29,21 @@ func TestEdgeVerdictTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := server.New(g, oracle, server.Config{MaxBatchPairs: server.EdgeMaxPairs})
+	// The replica serves the stream transport too, as reachd does:
+	// the router sends it sub-batches there.
+	muxLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := server.New(g, oracle, server.Config{MaxBatchPairs: server.EdgeMaxPairs, MuxAddr: muxLn.Addr().String()})
+	ms := s.NewMuxServer(func(string, ...any) {})
+	go ms.Serve(muxLn)
 	replica := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		replica.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // force-close; the router is gone by cleanup time
+		ms.Shutdown(ctx)
 		s.Close()
 	})
 	rt, err := fleet.New(context.Background(), fleet.Config{

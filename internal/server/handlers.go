@@ -143,12 +143,8 @@ func (s *Server) guard(h http.HandlerFunc) http.HandlerFunc {
 				// requests complete in well under a second unless the
 				// server is badly oversubscribed.
 				w.Header().Set("Retry-After", "1")
-				msg := fmt.Sprintf("server at max in-flight requests (%d); retry later", s.cfg.MaxInFlight)
-				if isBinaryBatch(r) {
-					s.writeErrorFrame(w, http.StatusTooManyRequests, msg)
-					return
-				}
-				s.writeJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: msg})
+				s.writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
+					Error: fmt.Sprintf("server at max in-flight requests (%d); retry later", s.cfg.MaxInFlight)})
 				return
 			}
 		}
@@ -287,14 +283,9 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if isBinaryBatch(r) {
-		s.handleBatchBinary(w, r)
-		return
-	}
 	s.met.wireFramesJSON.Add(1)
-	// Count JSON batch traffic the same way the binary path does, so the
-	// reach_wire_bytes_total series compare like for like: rx is body
-	// bytes actually read, tx is response-body bytes written.
+	// reach_wire_bytes_total: rx is body bytes actually read, tx is
+	// response-body bytes written.
 	origW := w
 	cw := &countingResponseWriter{ResponseWriter: w}
 	w = cw

@@ -26,16 +26,13 @@ type metrics struct {
 	cacheHits     atomic.Int64
 	cacheMisses   atomic.Int64
 
-	// Wire-level batch traffic accounting, split by encoding so JSON
-	// batches (direct clients, or IDs wider than a frame carries) show up
-	// next to binary frames in /metrics. rx is request-body bytes read,
-	// tx response-body bytes written.
-	wireFramesJSON   atomic.Int64
-	wireFramesBinary atomic.Int64
-	wireRxJSON       atomic.Int64
-	wireTxJSON       atomic.Int64
-	wireRxBinary     atomic.Int64
-	wireTxBinary     atomic.Int64
+	// JSON batch traffic on /v1/batch (direct clients, and routers
+	// whose batch holds an ID wider than a frame carries; frames travel
+	// over the stream transport and are counted in reach_mux_*). rx is
+	// request-body bytes read, tx response-body bytes written.
+	wireFramesJSON atomic.Int64
+	wireRxJSON     atomic.Int64
+	wireTxJSON     atomic.Int64
 
 	reg *obs.Registry
 	// Request-level histograms, one per query endpoint. reqMux is the
@@ -80,18 +77,12 @@ func newMetrics() *metrics {
 	m.reg.CounterFunc("reach_errors_total", "Requests answered 4xx/5xx.", nil, m.errors.Load)
 	m.reg.CounterFunc("reach_rejected_total", "Requests shed with 429 by the max-in-flight gate.", nil, m.rejected.Load)
 	m.reg.CounterFunc("reach_timed_out_total", "Requests abandoned at their deadline.", nil, m.timedOut.Load)
-	m.reg.CounterFunc("reach_wire_frames_total", "Batch frames handled on /v1/batch, by encoding.",
+	m.reg.CounterFunc("reach_wire_frames_total", "Batch requests handled on /v1/batch, by encoding.",
 		obs.Labels{"encoding": "json"}, m.wireFramesJSON.Load)
-	m.reg.CounterFunc("reach_wire_frames_total", "Batch frames handled on /v1/batch, by encoding.",
-		obs.Labels{"encoding": "binary"}, m.wireFramesBinary.Load)
 	m.reg.CounterFunc("reach_wire_bytes_total", "Batch body bytes on /v1/batch, by direction (rx = requests read, tx = responses written) and encoding.",
 		obs.Labels{"direction": "rx", "encoding": "json"}, m.wireRxJSON.Load)
 	m.reg.CounterFunc("reach_wire_bytes_total", "Batch body bytes on /v1/batch, by direction (rx = requests read, tx = responses written) and encoding.",
 		obs.Labels{"direction": "tx", "encoding": "json"}, m.wireTxJSON.Load)
-	m.reg.CounterFunc("reach_wire_bytes_total", "Batch body bytes on /v1/batch, by direction (rx = requests read, tx = responses written) and encoding.",
-		obs.Labels{"direction": "rx", "encoding": "binary"}, m.wireRxBinary.Load)
-	m.reg.CounterFunc("reach_wire_bytes_total", "Batch body bytes on /v1/batch, by direction (rx = requests read, tx = responses written) and encoding.",
-		obs.Labels{"direction": "tx", "encoding": "binary"}, m.wireTxBinary.Load)
 	// m.slow is assigned after newMetrics returns; the closure (unlike a
 	// method value) picks up the final pointer at scrape time.
 	m.reg.CounterFunc("reach_slow_queries_total", "Requests recorded in the slow-query log.", nil,

@@ -3,12 +3,12 @@ package server
 // The mux batch path: the same batch semantics as /v1/batch — results[i]
 // answers pairs[i], unknown vertices answer false, same limits and
 // overload behavior — served over the persistent raw-TCP stream
-// transport (internal/mux) instead of HTTP. The transport owns framing,
-// pipelining and connection state; this file supplies the batch
-// semantics behind it and keeps the serving counters, histograms and
-// slow-query log identical across transports, so /metrics reads the
-// same whichever path a router negotiated. docs/WIRE.md ("Stream
-// transport") is the normative protocol spec.
+// transport (internal/mux), which carries every router sub-batch whose
+// IDs fit u32. The transport owns framing, pipelining and connection
+// state; this file supplies the batch semantics behind it and feeds the
+// same serving counters, histograms and slow-query log as the HTTP
+// endpoints. docs/WIRE.md ("Stream transport") is the normative
+// protocol spec.
 
 import (
 	"context"
@@ -23,10 +23,11 @@ import (
 // NewMuxServer builds the stream-transport front end for this server:
 // handshakes carry the serving fingerprint (so enrollment-grade identity
 // checks survive reconnects), batch frames run through the same gate,
-// cache and worker pool as HTTP requests, and the reach_mux_* metrics
-// are registered on the server's /metrics registry. The caller owns the
-// listener and lifecycle: bind, pass the resolved address as
-// Config.MuxAddr, then Serve and Shutdown the returned server.
+// cache and worker pool as HTTP requests, frames over MaxBatchPairs get
+// an in-band 413, and the reach_mux_* metrics are registered on the
+// server's /metrics registry. The caller owns the listener and
+// lifecycle: bind, pass the resolved address as Config.MuxAddr, then
+// Serve and Shutdown the returned server.
 func (s *Server) NewMuxServer(logf func(string, ...any)) *mux.Server {
 	ms := mux.NewServer(mux.ServerConfig{
 		Batch:         s.muxBatch,
@@ -43,10 +44,9 @@ func (s *Server) NewMuxServer(logf func(string, ...any)) *mux.Server {
 // allocation-free end to end.
 var muxTracePool = sync.Pool{New: func() any { return new(queryTrace) }}
 
-// muxBatch is the mux.BatchFunc behind the stream transport — the
-// transport-independent core of handleBatchBinary. Failures return
-// *mux.Fail with the HTTP status the equivalent HTTP request would have
-// gotten, so router-side error handling is transport-agnostic.
+// muxBatch is the mux.BatchFunc behind the stream transport. Failures
+// return *mux.Fail with the HTTP status the equivalent HTTP request
+// would have gotten, so the router handles both alike.
 func (s *Server) muxBatch(ctx context.Context, trace string, pairs [][2]uint32, out []bool) error {
 	// Admission control first, exactly like the HTTP guard: a saturated
 	// server answers in microseconds instead of queueing frames. 429s
@@ -74,9 +74,9 @@ func (s *Server) muxBatch(ctx context.Context, trace string, pairs [][2]uint32, 
 	defer muxTracePool.Put(tr)
 
 	s.met.batchRequests.Add(1)
-	// Resolve in place, like the binary HTTP path: stream-transport IDs
-	// are uint32 by construction (routers with wider IDs fall back to
-	// JSON over HTTP), unknown IDs answer false.
+	// Resolve in place: stream-transport IDs are uint32 by construction
+	// (routers send batches with wider IDs as JSON over HTTP), unknown
+	// IDs answer false.
 	t0 := time.Now()
 	for i := range pairs {
 		du, _ := s.resolve(uint64(pairs[i][0]))

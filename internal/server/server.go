@@ -69,9 +69,11 @@ type Config struct {
 	EnablePprof bool
 	// MuxAddr is the host:port the replica's mux listener (the raw-TCP
 	// stream transport, internal/mux) is bound to; /v1/healthz advertises
-	// it so routers can upgrade from HTTP. Empty means no mux listener.
-	// reachd binds the listener first and passes the resolved address, so
-	// what healthz advertises is always dialable.
+	// it, and fleet routers enroll only replicas that advertise one,
+	// because every router sub-batch whose IDs fit u32 travels there.
+	// Empty means no mux listener: the server then answers direct HTTP
+	// clients only. reachd binds the listener first and passes the
+	// resolved address, so what healthz advertises is always dialable.
 	MuxAddr string
 }
 
@@ -344,7 +346,7 @@ func (s *Server) reachableBatch(ctx context.Context, pairs [][2]uint32, tr *quer
 }
 
 // reachableBatchInto is reachableBatch filling a caller-provided result
-// slice (len(out) must equal len(pairs)) — the binary wire path reuses
+// slice (len(out) must equal len(pairs)) — the stream transport reuses
 // pooled buffers across requests, so the allocation is the caller's
 // choice, not this function's.
 func (s *Server) reachableBatchInto(ctx context.Context, pairs [][2]uint32, out []bool, tr *queryTrace) error {
@@ -410,7 +412,7 @@ type IndexStats struct {
 	// file, "built" when it was constructed from the graph at startup.
 	Source string `json:"source"`
 	// Observers describes the fast path in front of the index; nil when
-	// it is disabled (-observers=off).
+	// the oracle was built or left without one.
 	Observers *ObserverStats `json:"observers,omitempty"`
 }
 

@@ -29,10 +29,9 @@ type HealthzResponse struct {
 	Revision      string  `json:"revision,omitempty"`
 	UptimeSeconds float64 `json:"uptime_seconds,omitempty"`
 	// Mux is the host:port of this replica's raw-TCP stream-transport
-	// listener (docs/WIRE.md, "Stream transport"). Routers that speak the
-	// mux protocol dial it and pipeline batches over a few persistent
-	// connections instead of one HTTP request per batch. Absent means
-	// HTTP only.
+	// listener (docs/WIRE.md, "Stream transport"). Fleet routers dial it
+	// and pipeline sub-batches over a few persistent connections; a
+	// replica without one is never enrolled in a fleet.
 	Mux string `json:"mux,omitempty"`
 }
 

@@ -1,6 +1,6 @@
 // Stream transport layer: the envelope and handshake frames that let
 // wireproto batch frames travel over a persistent multiplexed TCP
-// connection (internal/mux) instead of one HTTP exchange per batch.
+// connection (internal/mux), many batches in flight at once.
 //
 // Every frame on a stream connection is preceded by a fixed 12-byte
 // envelope naming the stream it belongs to, so many batches can be in

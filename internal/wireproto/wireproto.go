@@ -1,8 +1,9 @@
 // Package wireproto is the binary batch protocol spoken between the
-// fleet router and reachd replicas on /v1/batch: length-prefixed frames
-// of fixed-width little-endian integers — the blockio snapshot idiom
-// applied to the wire. A 512-pair request is 4108 bytes instead of
-// ~7 KB of JSON, and neither side allocates to encode or decode it.
+// fleet router and reachd replicas over the stream transport
+// (internal/mux): length-prefixed frames of fixed-width little-endian
+// integers — the blockio snapshot idiom applied to the wire. A 512-pair
+// request is 4108 bytes instead of ~7 KB of JSON, and neither side
+// allocates to encode or decode it.
 //
 // The byte-level layout is specified normatively in docs/WIRE.md;
 // TestWireSpecInSync round-trips the spec's example frames through this
@@ -22,12 +23,6 @@ import (
 	"encoding/binary"
 	"errors"
 )
-
-// ContentType is the negotiated media type of binary batch frames on
-// POST /v1/batch. Requests carrying any other Content-Type take the
-// JSON path; replicas that do not speak the protocol answer it with
-// 415, which clients treat as "fall back to JSON".
-const ContentType = "application/x-reach-batch"
 
 // Frame geometry. All integers on the wire are little-endian.
 const (
@@ -312,11 +307,10 @@ func DecodeResponse(frame []byte, results []bool) error {
 
 // EncodeError writes an error frame into buf and returns the frame
 // length: status is the HTTP-shaped status code the peer should act on
-// (carried in-band so the frame is self-contained on non-HTTP
-// transports), msg a human-readable reason. buf must be at least
-// ErrorSize(len(msg)) bytes. Error frames are off the hot path — they
-// exist so a binary-mode peer never has to parse JSON to learn why a
-// batch failed.
+// (carried in-band, so the stream transport needs no side channel), msg
+// a human-readable reason. buf must be at least ErrorSize(len(msg))
+// bytes. Error frames are off the hot path — they exist so a
+// binary-mode peer never has to parse JSON to learn why a batch failed.
 func EncodeError(buf []byte, status int, msg string) int {
 	putHeader(buf, FlagError, uint32(len(msg)))
 	binary.LittleEndian.PutUint32(buf[HeaderSize:], uint32(status))

@@ -214,7 +214,7 @@ func (o *Oracle) Observers() *observe.Stack { return o.obs.Load() }
 
 // DisableObservers removes the observer fast path so every query goes
 // straight to the index — the runtime half of the ablation story
-// (reachd -observers=off, reachbench -no-observers). Safe to call with
+// (TestObserverDifferential*, BenchmarkObserverStack). Safe to call with
 // queries in flight; in-progress queries may still use the old stack.
 func (o *Oracle) DisableObservers() { o.obs.Store(nil) }
 

@@ -40,15 +40,11 @@ echo "== single-node ground truth (reachcli builds the index and saves the fleet
 grep -cq true "$WORK/expected.txt" || { echo "sweep has no reachable pairs — not a meaningful test"; exit 1; }
 
 echo "== start 3 replicas (each mmap-loads the one snapshot) + the router"
-# Replica :${REPLICA_PORTS[0]} additionally gets a -mux-addr stream
-# listener (port+100), so one fleet exercises both replica transports at
-# once — binary frames over mux streams and over HTTP — and the SIGKILL
-# below lands on the mux replica, covering stream-leg death too.
+# Every replica serves the stream transport on its default -mux-addr
+# (:0, any free port); healthz advertises the bound port, and the router
+# dials it on the replica's HTTP host.
 for port in "${REPLICA_PORTS[@]}"; do
-  MUX_FLAGS=()
-  if [ "$port" = "${REPLICA_PORTS[0]}" ]; then MUX_FLAGS=(-mux-addr "127.0.0.1:$((port + 100))"); fi
   "$BIN/reachd" -snapshot "$WORK/g.snap" -addr "127.0.0.1:$port" \
-    ${MUX_FLAGS[@]+"${MUX_FLAGS[@]}"} \
     > "$WORK/reachd-$port.log" 2>&1 &
   PIDS+=($!)
 done
@@ -69,17 +65,7 @@ for i in $(seq 1 150); do
 done
 curl -fsS "http://$ROUTER_ADDR/v1/healthz"; echo
 
-echo "== transport negotiation: mux streams to the advertising replica, HTTP to the rest"
-curl -fsS "http://$ROUTER_ADDR/v1/stats" > "$WORK/stats0.json"
-grep -qE "\"base\":\"http://127\.0\.0\.1:${REPLICA_PORTS[0]}\"[^{}]*\"transport\":\"mux\"" "$WORK/stats0.json" \
-  || { echo "mux-advertising replica not negotiated to mux"; cat "$WORK/stats0.json"; exit 1; }
-for port in "${REPLICA_PORTS[1]}" "${REPLICA_PORTS[2]}"; do
-  grep -qE "\"base\":\"http://127\.0\.0\.1:$port\"[^{}]*\"transport\":\"http\"" "$WORK/stats0.json" \
-    || { echo "non-advertising replica :$port not kept on HTTP"; cat "$WORK/stats0.json"; exit 1; }
-done
-echo "   stats: 1 replica on mux streams, 2 on HTTP"
-
-echo "== full 240-pair batch through the healthy 3/3 fleet: both transports at once"
+echo "== full 240-pair batch through the healthy 3/3 fleet, as mux frames"
 {
   printf '{"pairs":['
   awk '{printf "%s[%d,%d]", (NR > 1 ? "," : ""), $1, $2}' "$WORK/pairs.txt"
@@ -92,15 +78,32 @@ sed -E 's/.*"results":\[([^]]*)\].*/\1/' "$WORK/batch0.out" | tr ',' '\n' > "$WO
 diff "$WORK/batch_expected.txt" "$WORK/batch0_got.txt" \
   || { echo "healthy-fleet batch diverged from single-node answers"; exit 1; }
 
-echo "== /metrics on the mux replica (pre-kill): stream transport served its sub-batch"
-curl -fsS "http://127.0.0.1:${REPLICA_PORTS[0]}/metrics" > "$WORK/mux_replica_metrics.txt"
-grep -Eq 'reach_mux_frames_total\{direction="rx"\} [1-9][0-9]*' "$WORK/mux_replica_metrics.txt" \
-  || { echo "mux replica received no stream frames"; grep reach_mux "$WORK/mux_replica_metrics.txt"; exit 1; }
-grep -Eq 'reach_mux_conns [1-9][0-9]*' "$WORK/mux_replica_metrics.txt" \
-  || { echo "mux replica holds no stream connections"; grep reach_mux "$WORK/mux_replica_metrics.txt"; exit 1; }
-grep -q 'reach_http_request_seconds_count{endpoint="mux"}' "$WORK/mux_replica_metrics.txt" \
-  || { echo "mux replica missing endpoint=mux latency histogram"; exit 1; }
-echo "   mux replica metrics: stream frames received over live connections"
+echo "== /metrics (pre-kill): the batch's 3 sub-batches rode the stream transport"
+# The 240-pair batch splits into three 80-pair sub-batches whose replicas
+# power-of-two choices picks at random, so assert what holds whichever
+# replicas served them: the router sent at least 3 frames and no JSON
+# sub-batch, and summed over the replicas at least 3 frames arrived, at
+# least 3 landed in the endpoint="mux" latency histogram, and every
+# replica holds the stream connection its enrollment probe dialed.
+curl -fsS "http://$ROUTER_ADDR/metrics" > "$WORK/router_metrics0.txt"
+grep -Eq 'reach_mux_frames_total\{direction="tx"\} ([3-9]|[1-9][0-9]+)$' "$WORK/router_metrics0.txt" \
+  || { echo "router sent fewer than 3 mux frames"; grep reach_mux "$WORK/router_metrics0.txt"; exit 1; }
+grep -Eq '^reach_wire_frames_total\{encoding="json"\} 0$' "$WORK/router_metrics0.txt" \
+  || { echo "router sent JSON sub-batches for u32 IDs"; grep reach_wire "$WORK/router_metrics0.txt"; exit 1; }
+rx=0 muxreqs=0
+for port in "${REPLICA_PORTS[@]}"; do
+  curl -fsS "http://127.0.0.1:$port/metrics" > "$WORK/replica_metrics0.txt"
+  n=$(sed -nE 's/^reach_mux_frames_total\{direction="rx"\} ([0-9]+)$/\1/p' "$WORK/replica_metrics0.txt")
+  rx=$((rx + ${n:-0}))
+  n=$(sed -nE 's/^reach_http_request_seconds_count\{endpoint="mux"\} ([0-9]+)$/\1/p' "$WORK/replica_metrics0.txt")
+  muxreqs=$((muxreqs + ${n:-0}))
+  grep -Eq '^reach_mux_conns [1-9][0-9]*$' "$WORK/replica_metrics0.txt" \
+    || { echo "replica :$port holds no stream connections"; grep reach_mux "$WORK/replica_metrics0.txt"; exit 1; }
+done
+[ "$rx" -ge 3 ] || { echo "replicas received $rx mux frames, want >= 3"; exit 1; }
+[ "$muxreqs" -ge 3 ] \
+  || { echo "replicas' endpoint=\"mux\" latency histograms counted $muxreqs sub-batches, want >= 3"; exit 1; }
+echo "   router sent the sub-batches as mux frames; replicas received $rx, timed $muxreqs"
 
 echo "== sweep through the router, SIGKILLing replica :${REPLICA_PORTS[0]} at query 120"
 : > "$WORK/got.txt"
@@ -121,9 +124,8 @@ diff "$WORK/expected.txt" "$WORK/got.txt"
 echo "   sweep identical across router failover ($(wc -l < "$WORK/got.txt") queries)"
 
 echo "== full 240-pair batch through the degraded (2/3) fleet, 5 rounds"
-# Five rounds of scatter over the two surviving replicas, both on binary
-# frames over HTTP now that the mux replica is dead; every round must
-# still merge into exactly the single-node answers.
+# Five rounds of scatter over the two surviving replicas' mux streams;
+# every round must still merge into exactly the single-node answers.
 for round in 1 2 3 4 5; do
   curl -fsS -X POST --data-binary "@$WORK/batch.json" \
     "http://$ROUTER_ADDR/v1/batch" > "$WORK/batch.out"
@@ -158,22 +160,20 @@ grep -q 'reach_router_failovers_total' "$WORK/router_metrics.txt" \
 grep -q 'reach_router_replicas_healthy 2' "$WORK/router_metrics.txt" \
   || { echo "router healthy-replica gauge != 2"; exit 1; }
 # Every sweep ID fits u32, so every interior sub-batch must have left as
-# a binary frame: HTTP binary frames moved, and not one JSON sub-batch.
-grep -Eq 'reach_wire_frames_total\{encoding="binary"\} [1-9][0-9]*' "$WORK/router_metrics.txt" \
-  || { echo "router sent no binary frames"; grep reach_wire "$WORK/router_metrics.txt"; exit 1; }
+# a mux frame and not one as JSON: at least one frame each way per batch
+# round.
 grep -Eq '^reach_wire_frames_total\{encoding="json"\} 0$' "$WORK/router_metrics.txt" \
   || { echo "router sent JSON sub-batches for u32 IDs"; grep reach_wire "$WORK/router_metrics.txt"; exit 1; }
-# The healthy-fleet round must have ridden the stream transport to the
-# mux replica (frames in both directions), and after that replica's
-# death the router must hold no open mux connections — stream-leg
-# teardown is part of the failover story.
-grep -Eq 'reach_mux_frames_total\{direction="tx"\} [1-9][0-9]*' "$WORK/router_metrics.txt" \
-  || { echo "router sent no mux frames"; grep reach_mux "$WORK/router_metrics.txt"; exit 1; }
-grep -Eq 'reach_mux_frames_total\{direction="rx"\} [1-9][0-9]*' "$WORK/router_metrics.txt" \
-  || { echo "router received no mux frames"; grep reach_mux "$WORK/router_metrics.txt"; exit 1; }
-grep -q 'reach_mux_conns 0' "$WORK/router_metrics.txt" \
-  || { echo "router still holds mux connections to a dead replica"; grep reach_mux "$WORK/router_metrics.txt"; exit 1; }
-echo "   router metrics: 240 reachable + 6 batch samples, binary frames only, over HTTP + mux streams"
+tx=$(sed -nE 's/^reach_mux_frames_total\{direction="tx"\} ([0-9]+)$/\1/p' "$WORK/router_metrics.txt")
+rx=$(sed -nE 's/^reach_mux_frames_total\{direction="rx"\} ([0-9]+)$/\1/p' "$WORK/router_metrics.txt")
+[ "${tx:-0}" -ge 6 ] && [ "${rx:-0}" -ge 6 ] \
+  || { echo "router mux frames tx=${tx:-?} rx=${rx:-?}, want >= 6 each (one per batch round at least)"; exit 1; }
+# The dead replica's connections are gone: at most the pools of the two
+# survivors (2 connections each) remain open.
+conns=$(sed -nE 's/^reach_mux_conns ([0-9]+)$/\1/p' "$WORK/router_metrics.txt")
+[ "${conns:-0}" -ge 1 ] && [ "${conns:-0}" -le 4 ] \
+  || { echo "router holds ${conns:-?} mux connections, want 1-4 to the 2 survivors"; exit 1; }
+echo "   router metrics: 240 reachable + 6 batch samples, all sub-batches as mux frames (tx=$tx rx=$rx)"
 
 echo "== /metrics on a surviving replica: per-stage histograms must exist"
 REPLICA_METRICS="http://127.0.0.1:${REPLICA_PORTS[1]}/metrics"
@@ -182,6 +182,7 @@ curl -fsS "$REPLICA_METRICS" > "$WORK/replica_metrics.txt"
 # serving-stage series exist and the replica answered a nonzero share.
 for series in \
   'reach_http_request_seconds_bucket{endpoint="reachable",le=' \
+  'reach_http_request_seconds_bucket{endpoint="mux",le=' \
   'reach_stage_seconds_bucket{stage="cache_lookup",le=' \
   'reach_stage_seconds_bucket{stage="index_probe",le=' \
   'reach_stage_seconds_bucket{stage="chunk_dispatch",le='; do
