@@ -1,13 +1,14 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
+// Ablation benchmarks for three design choices of the paper's oracles:
 //
 //   - DL's vertex order: the paper's degree-product rank vs topological,
 //     random, and worst-case reverse order (§5.2 argues the rank function
 //     drives label compactness).
 //   - HL's locality threshold ε ∈ {1, 2, 3} (ε = 1 being TF-label's
 //     hierarchy, ε = 2 the paper's default).
-//   - Label-set representation: sorted-vector merge intersection vs
-//     hash-set probing — the §1 claim that sorted vectors eliminate the
-//     reachability oracle's historical query-performance gap.
+//   - Label-set representation: sorted-vector intersection (merge, or
+//     gallop when one label is much shorter) vs hash-set probing — the
+//     §1 claim that sorted vectors eliminate the reachability oracle's
+//     historical query-performance gap.
 package reach_test
 
 import (

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -239,6 +241,37 @@ func TestDLDeterministic(t *testing.T) {
 				t.Fatal("labels differ between runs")
 			}
 		}
+	}
+}
+
+// TestDLLabelsPinned hashes DL's four CSR arrays, in the order Encode
+// writes them, on a fixed citation graph whose labels reach 171
+// entries, and compares the hash with the one recorded when every
+// pruning check was a plain merge. The galloping check must build the
+// same labels, so the index size and the snapshot bytes cannot move;
+// TestDLDeterministic only compares two builds of the same code.
+func TestDLLabelsPinned(t *testing.T) {
+	const want = 0xe7d14573ba2312fc
+	dl, err := BuildDL(gen.CitationDAG(4000, 4, 0.5, 7), DLOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := dl.Labeling()
+	outOff, inOff := []uint32{0}, []uint32{0}
+	var out, in []uint32
+	for v := uint32(0); v < uint32(l.NumVertices()); v++ {
+		out = append(out, l.Out(v)...)
+		in = append(in, l.In(v)...)
+		outOff = append(outOff, uint32(len(out)))
+		inOff = append(inOff, uint32(len(in)))
+	}
+	h := fnv.New64a()
+	for _, arr := range [][]uint32{outOff, out, inOff, in} {
+		binary.Write(h, binary.LittleEndian, arr)
+	}
+	if got := h.Sum64(); got != want {
+		t.Fatalf("DL labels hash to %#x (%d ints), want %#x: the build no longer produces the same labels",
+			got, l.SizeInts(), uint64(want))
 	}
 }
 

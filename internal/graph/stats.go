@@ -3,7 +3,7 @@ package graph
 import "fmt"
 
 // Stats summarizes structural properties of a graph; the benchmark harness
-// prints these for Table 1 and DESIGN.md's dataset inventory.
+// prints these for the paper's Table 1 dataset inventory.
 type Stats struct {
 	Vertices     int
 	Edges        int

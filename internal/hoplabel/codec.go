@@ -9,10 +9,11 @@ import (
 // FromParts assembles a Labeling directly from its four CSR arrays,
 // validating the offset structure so every later Out/In slice operation is
 // in bounds. The arrays are aliased, not copied — this is the zero-copy
-// entry point used when decoding an mmap'd snapshot. Label values are NOT
-// range-checked: hops are only ever compared in merge intersections, so
-// arbitrary values are memory-safe, and skipping the scan keeps load time
-// proportional to the offset arrays, not the labels.
+// entry point used when decoding an mmap'd snapshot. Label values and
+// order are NOT checked: both intersection strategies compare hops and
+// index labels by position only, so a corrupt label gives wrong answers,
+// never a panic, and skipping the scan keeps load time proportional to
+// the offset arrays, not the labels.
 func FromParts(outOff, out, inOff, in []uint32) (*Labeling, error) {
 	if len(outOff) == 0 || len(inOff) != len(outOff) {
 		return nil, fmt.Errorf("hoplabel: offset arrays have lengths %d and %d", len(outOff), len(inOff))

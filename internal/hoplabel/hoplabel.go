@@ -6,16 +6,12 @@
 // The paper observes (§1) that implementing the label sets as sorted
 // vectors rather than hash sets eliminates the reachability oracle's
 // historical query-performance gap; labels here are flat sorted []uint32
-// CSR arrays and the query is a merge intersection with early exit.
+// CSR arrays and the query is one intersection with early exit: a merge
+// when the two labels are of similar length, a galloping search of the
+// longer label when one is much shorter.
 package hoplabel
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-	"slices"
-)
+import "slices"
 
 // Labeling is an immutable, complete 2-hop reachability labeling.
 type Labeling struct {
@@ -35,8 +31,8 @@ func (l *Labeling) Out(v uint32) []uint32 { return l.out[l.outOff[v]:l.outOff[v+
 // In returns Lin(v), sorted ascending. Shared storage; do not modify.
 func (l *Labeling) In(v uint32) []uint32 { return l.in[l.inOff[v]:l.inOff[v+1]] }
 
-// Reachable answers u -> v via sorted-merge intersection of Lout(u) and
-// Lin(v); O(|Lout(u)| + |Lin(v)|).
+// Reachable answers u -> v by intersecting Lout(u) and Lin(v); see
+// IntersectsSorted.
 func (l *Labeling) Reachable(u, v uint32) bool {
 	if u == v {
 		return true
@@ -44,10 +40,32 @@ func (l *Labeling) Reachable(u, v uint32) bool {
 	return IntersectsSorted(l.Out(u), l.In(v))
 }
 
+// gallopRatio is the length ratio above which IntersectsSorted gallops:
+// on disjoint labels BenchmarkIntersectsSorted has the two strategies
+// about even at 8 for shorter labels of 1 to 64 entries, merge ahead
+// below it and gallop ahead above it, by 2-4x at 32.
+const gallopRatio = 8
+
 // IntersectsSorted reports whether two ascending slices share an element.
+// Slices of similar length are merged, O(|a|+|b|). When one is more than
+// gallopRatio times longer than the other, each element of the shorter
+// is searched for in the longer instead, O(|short|·log(|long|/|short|)).
 //
 //reach:hotpath
 func IntersectsSorted(a, b []uint32) bool {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	if len(b) > gallopRatio*len(a) {
+		return gallop(a, b)
+	}
+	return merge(a, b)
+}
+
+// merge walks both slices in step.
+//
+//reach:hotpath
+func merge(a, b []uint32) bool {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -56,6 +74,41 @@ func IntersectsSorted(a, b []uint32) bool {
 		case a[i] > b[j]:
 			j++
 		default:
+			return true
+		}
+	}
+	return false
+}
+
+// gallop finds each element of short in long, resuming from the previous
+// element's position: bounds grow 1, 2, 4, ... until one passes the
+// element, then a binary search between the last two bounds. Indices
+// stay in range whatever the input order, so unsorted labels give a wrong
+// answer, never a panic.
+//
+//reach:hotpath
+func gallop(short, long []uint32) bool {
+	lo := 0
+	for _, x := range short {
+		hi, step := lo, 1
+		for hi < len(long) && long[hi] < x {
+			lo = hi + 1
+			hi += step
+			step <<= 1
+		}
+		hi = min(hi, len(long))
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if long[m] < x {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		if lo == len(long) {
+			return false
+		}
+		if long[lo] == x {
 			return true
 		}
 	}
@@ -163,73 +216,4 @@ func sortDedup(s []uint32) []uint32 {
 		}
 	}
 	return s[:w]
-}
-
-// labelMagic identifies the serialized labeling format.
-const labelMagic = "RHL1"
-
-// Write serializes the labeling (little-endian: magic, n, out CSR, in CSR).
-func (l *Labeling) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(labelMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(l.n)); err != nil {
-		return err
-	}
-	for _, arr := range [][]uint32{l.outOff, l.out, l.inOff, l.in} {
-		if err := binary.Write(bw, binary.LittleEndian, uint64(len(arr))); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, arr); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Read deserializes a labeling written by Write.
-func Read(r io.Reader) (*Labeling, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(labelMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("hoplabel: reading magic: %w", err)
-	}
-	if string(magic) != labelMagic {
-		return nil, fmt.Errorf("hoplabel: bad magic %q", magic)
-	}
-	var n uint64
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if n > 1<<31 {
-		return nil, fmt.Errorf("hoplabel: implausible vertex count %d", n)
-	}
-	l := &Labeling{n: int(n)}
-	arrays := []*[]uint32{&l.outOff, &l.out, &l.inOff, &l.in}
-	for _, dst := range arrays {
-		var ln uint64
-		if err := binary.Read(br, binary.LittleEndian, &ln); err != nil {
-			return nil, err
-		}
-		if ln > 1<<33 {
-			return nil, fmt.Errorf("hoplabel: implausible array length %d", ln)
-		}
-		*dst = make([]uint32, ln)
-		if err := binary.Read(br, binary.LittleEndian, *dst); err != nil {
-			return nil, err
-		}
-	}
-	if len(l.outOff) != int(n)+1 || len(l.inOff) != int(n)+1 {
-		return nil, fmt.Errorf("hoplabel: offset arrays inconsistent with n=%d", n)
-	}
-	for v := 0; v < l.n; v++ {
-		if l.outOff[v] > l.outOff[v+1] || l.inOff[v] > l.inOff[v+1] {
-			return nil, fmt.Errorf("hoplabel: offsets not monotone at %d", v)
-		}
-	}
-	if int(l.outOff[l.n]) != len(l.out) || int(l.inOff[l.n]) != len(l.in) {
-		return nil, fmt.Errorf("hoplabel: offsets do not cover label arrays")
-	}
-	return l, nil
 }

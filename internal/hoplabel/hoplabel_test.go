@@ -1,10 +1,9 @@
 package hoplabel
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
-	"strings"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -103,94 +102,105 @@ func TestSetOutSetIn(t *testing.T) {
 	}
 }
 
-func TestSerializationRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	b := NewBuilder(50)
-	for v := uint32(0); v < 50; v++ {
-		for k := 0; k < rng.Intn(8); k++ {
-			b.AddOut(v, uint32(rng.Intn(50)))
-		}
-		for k := 0; k < rng.Intn(8); k++ {
-			b.AddIn(v, uint32(rng.Intn(50)))
-		}
-	}
-	l := b.Freeze()
-	var buf bytes.Buffer
-	if err := l.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l2.NumVertices() != l.NumVertices() || l2.SizeInts() != l.SizeInts() {
-		t.Fatal("round trip changed sizes")
-	}
-	for v := uint32(0); v < 50; v++ {
-		if !reflect.DeepEqual(l.Out(v), l2.Out(v)) || !reflect.DeepEqual(l.In(v), l2.In(v)) {
-			t.Fatalf("labels differ at vertex %d", v)
-		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("garbage everywhere")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := Read(strings.NewReader("")); err == nil {
-		t.Fatal("empty input accepted")
-	}
-}
-
-// Property: IntersectsSorted agrees with a map-based intersection test.
+// Property: IntersectsSorted agrees with a map-based intersection test,
+// in both argument orders, on labels of similar length (merged) and on
+// lopsided ones (galloped).
 func TestIntersectsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		mk := func() []uint32 {
+		// mk draws lo to hi values below universe into a sorted set.
+		mk := func(lo, hi, universe int) []uint32 {
 			m := map[uint32]bool{}
-			for i := 0; i < rng.Intn(30); i++ {
-				m[uint32(rng.Intn(60))] = true
+			for i, k := 0, lo+rng.Intn(hi-lo+1); i < k; i++ {
+				m[uint32(rng.Intn(universe))] = true
 			}
-			var out []uint32
-			for x := uint32(0); x < 60; x++ {
-				if m[x] {
-					out = append(out, x)
-				}
+			out := make([]uint32, 0, len(m))
+			for x := range m {
+				out = append(out, x)
 			}
+			slices.Sort(out)
 			return out
 		}
-		a, b := mk(), mk()
-		want := false
-		bm := map[uint32]bool{}
-		for _, x := range b {
-			bm[x] = true
-		}
-		for _, x := range a {
-			if bm[x] {
-				want = true
-				break
+		for _, p := range [][2][]uint32{
+			{mk(0, 30, 60), mk(0, 30, 60)},
+			{mk(0, 4, 1000), mk(50, 500, 1000)},
+		} {
+			a, b := p[0], p[1]
+			bm := map[uint32]bool{}
+			for _, x := range b {
+				bm[x] = true
+			}
+			want := false
+			for _, x := range a {
+				want = want || bm[x]
+			}
+			if IntersectsSorted(a, b) != want || IntersectsSorted(b, a) != want {
+				return false
 			}
 		}
-		return IntersectsSorted(a, b) == want
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
 // TestIntersectsSortedZeroAlloc pins the //reach:hotpath contract
 // reachlint enforces statically: the label intersection runs per query
-// pair and must not allocate.
+// pair and must not allocate, whichever strategy it takes.
 func TestIntersectsSortedZeroAlloc(t *testing.T) {
 	a := []uint32{1, 5, 9, 40, 77, 120}
 	b := []uint32{2, 6, 10, 41, 78, 121}
 	c := []uint32{3, 9, 200}
+	long := make([]uint32, 100)
+	for i := range long {
+		long[i] = uint32(3 * i)
+	}
+	short := []uint32{7, 151}
 	allocs := testing.AllocsPerRun(1000, func() {
 		IntersectsSorted(a, b)
 		IntersectsSorted(a, c)
 		IntersectsSorted(nil, a)
+		IntersectsSorted(short, long)
+		IntersectsSorted(long, short)
 	})
 	if allocs != 0 {
 		t.Fatalf("IntersectsSorted allocated %v times per run; the hot path must be allocation-free", allocs)
 	}
+}
+
+// FuzzIntersectsSorted holds IntersectsSorted to a naive scan on sorted,
+// deduplicated labels built from the input, one value per byte, so the
+// fuzzer picks the lengths and with them the strategy. The raw bytes are
+// also fed unsorted, as a corrupt snapshot would (FromParts does not
+// check label order): the answer is then meaningless but must not panic.
+func FuzzIntersectsSorted(f *testing.F) {
+	f.Add([]byte{1, 2, 3}, []byte{3, 4, 5})
+	f.Add([]byte{200}, []byte("abcdefghijklmnopqrstuvwxyz"))
+	f.Add([]byte{9, 250}, []byte("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"))
+	f.Add([]byte{}, []byte{1})
+	f.Fuzz(func(t *testing.T, x, y []byte) {
+		toLabel := func(bs []byte) []uint32 {
+			out := make([]uint32, len(bs))
+			for i, c := range bs {
+				out[i] = uint32(c)
+			}
+			return out
+		}
+		a, b := toLabel(x), toLabel(y)
+		IntersectsSorted(a, b)
+		IntersectsSorted(b, a)
+
+		a, b = sortDedup(a), sortDedup(b)
+		want := false
+		for _, p := range a {
+			want = want || slices.Contains(b, p)
+		}
+		if got := IntersectsSorted(a, b); got != want {
+			t.Fatalf("IntersectsSorted(%v, %v) = %v, want %v", a, b, got, want)
+		}
+		if got := IntersectsSorted(b, a); got != want {
+			t.Fatalf("IntersectsSorted(%v, %v) = %v, want %v", b, a, got, want)
+		}
+	})
 }

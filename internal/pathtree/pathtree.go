@@ -14,7 +14,7 @@
 // entries are exactly what makes it run out of memory on the large ones
 // (Tables 5-7).
 //
-// Substitution note (documented in DESIGN.md): the original Path-Tree also
+// Substitution note: the original Path-Tree also
 // overlays a spanning tree on the path-level graph to merge entries of
 // tree-related paths. We keep the decomposition + compressed-closure core,
 // which preserves the query/size behaviour the evaluation measures.

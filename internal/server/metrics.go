@@ -13,7 +13,8 @@ import (
 // per-stage latency histograms; every handler goroutine bumps them
 // concurrently. The histograms answer the question the paper's claims
 // hinge on — where do the microseconds go — stage by stage: whole
-// request, cache lookup, index probe, batch chunk dispatch.
+// request, cache lookup and index probe (for the pairs the observers
+// leave undecided), batch chunk dispatch.
 type metrics struct {
 	start         time.Time
 	queries       atomic.Int64 // pair-queries answered (single + batch)
@@ -62,13 +63,13 @@ func newMetrics() *metrics {
 		"End-to-end latency of query requests, from handler entry to response write.",
 		obs.Labels{"endpoint": "mux"})
 	m.cacheDur = m.reg.Histogram("reach_stage_seconds",
-		"Per-stage serving latency: cache_lookup and index_probe per pair, chunk_dispatch per batch chunk.",
+		"Per-stage serving latency: cache_lookup per pair the observers leave undecided, index_probe per such pair the cache does not answer, chunk_dispatch per batch chunk.",
 		obs.Labels{"stage": "cache_lookup"})
 	m.probeDur = m.reg.Histogram("reach_stage_seconds",
-		"Per-stage serving latency: cache_lookup and index_probe per pair, chunk_dispatch per batch chunk.",
+		"Per-stage serving latency: cache_lookup per pair the observers leave undecided, index_probe per such pair the cache does not answer, chunk_dispatch per batch chunk.",
 		obs.Labels{"stage": "index_probe"})
 	m.chunkDur = m.reg.Histogram("reach_stage_seconds",
-		"Per-stage serving latency: cache_lookup and index_probe per pair, chunk_dispatch per batch chunk.",
+		"Per-stage serving latency: cache_lookup per pair the observers leave undecided, index_probe per such pair the cache does not answer, chunk_dispatch per batch chunk.",
 		obs.Labels{"stage": "chunk_dispatch"})
 	m.reg.CounterFunc("reach_queries_total", "Pair queries answered (single and batch).", nil, m.queries.Load)
 	m.reg.CounterFunc("reach_positive_total", "Pair queries answered reachable.", nil, m.positive.Load)
@@ -101,7 +102,7 @@ func newMetrics() *metrics {
 func (m *metrics) registerServer(s *Server) {
 	if s.cache != nil {
 		m.reg.CounterFunc("reach_cache_hits_total", "Query cache hits.", nil, m.cacheHits.Load)
-		m.reg.CounterFunc("reach_cache_misses_total", "Query cache misses.", nil, m.cacheMisses.Load)
+		m.reg.CounterFunc("reach_cache_misses_total", "Query cache misses, each one an index probe.", nil, m.cacheMisses.Load)
 		m.reg.GaugeFunc("reach_cache_entries", "Entries resident in the query cache.", nil,
 			func() float64 { return float64(s.cache.len()) })
 	}

@@ -5,10 +5,11 @@
 //
 // The layering mirrors O'Reach's observation that cheap caching/filter
 // frontends multiply the real-world throughput of a microsecond-query
-// oracle: the oracle answers anything, the cache shortcuts repeats, and
-// the pool turns one HTTP round trip into many index probes. The serving
-// layer also degrades gracefully under overload: a max-in-flight gate
-// rejects excess requests with 429 instead of queueing unboundedly, and
+// oracle, cheapest step first: the oracle's observers decide most pairs
+// outright, the cache shortcuts repeats of the rest, and the pool turns
+// one HTTP round trip into many index probes. The serving layer also
+// degrades gracefully under overload: a max-in-flight gate rejects
+// excess requests with 429 instead of queueing unboundedly, and
 // per-request deadlines stop batch work that nobody is waiting for.
 package server
 
@@ -259,10 +260,10 @@ func (t *queryTrace) add(cs *chunkStats) {
 	t.cacheHits.Add(cs.cacheHits)
 }
 
-// Reachable answers one query through the cache, reporting whether the
-// answer was a cache hit. Unknown-vertex pairs (from /v1/batch, where
-// they answer false instead of failing the batch) bypass the cache
-// entirely: their garbage keys would pollute it and evict real entries.
+// Reachable answers one query, reporting whether the cache answered it.
+// Pairs the oracle decides without its index never touch the cache:
+// unknown-vertex pairs (from /v1/batch, where they answer false instead
+// of failing the batch), two vertices of one SCC, and observer verdicts.
 func (s *Server) Reachable(u, v uint32) (reachable, cached bool) {
 	var cs chunkStats
 	reachable, cached = s.reachable(u, v, &cs)
@@ -281,48 +282,45 @@ func (s *Server) Reachable(u, v uint32) (reachable, cached bool) {
 // the phase check a mask.
 const stageSampleEvery = 16
 
-// reachable is the per-pair hot path: cache lookup then index probe,
-// sampled into the stage histograms and summed into cs.
-func (s *Server) reachable(u, v uint32, cs *chunkStats) (reachable, cached bool) {
-	if u == unknownVertex || v == unknownVertex {
-		cs.queries++
-		return false, false
-	}
+// reachable is the per-pair hot path in cost order: the oracle's decide
+// step, then for undecided pairs the cache (keyed by DAG-vertex pair),
+// then the index probe, whose answer fills the cache. The cache and
+// probe steps are sampled into the stage histograms and summed into cs.
+func (s *Server) reachable(u, v uint32, cs *chunkStats) (ans, cached bool) {
 	sample := cs.queries&(stageSampleEvery-1) == 0
 	cs.queries++
-	if s.cache != nil {
+	cu, cv, ans, decided := s.oracle.Decide(u, v)
+	if !decided && s.cache != nil {
 		var t0 time.Time
 		if sample {
 			t0 = time.Now()
 		}
-		ans, ok := s.cache.get(u, v)
+		ans, cached = s.cache.get(cu, cv)
 		if sample {
 			cs.cacheNs += int64(s.met.cacheDur.RecordSince(t0)) * stageSampleEvery
 		}
-		if ok {
+		if cached {
 			cs.cacheHits++
-			if ans {
-				cs.positive++
-			}
-			return ans, true
 		}
-		cs.cacheMisses++
 	}
-	var t0 time.Time
-	if sample {
-		t0 = time.Now()
-	}
-	ans := s.oracle.Reachable(u, v)
-	if sample {
-		cs.probeNs += int64(s.met.probeDur.RecordSince(t0)) * stageSampleEvery
-	}
-	if s.cache != nil {
-		s.cache.put(u, v, ans)
+	if !decided && !cached {
+		var t0 time.Time
+		if sample {
+			t0 = time.Now()
+		}
+		ans = s.oracle.Probe(cu, cv)
+		if sample {
+			cs.probeNs += int64(s.met.probeDur.RecordSince(t0)) * stageSampleEvery
+		}
+		if s.cache != nil {
+			cs.cacheMisses++
+			s.cache.put(cu, cv, ans)
+		}
 	}
 	if ans {
 		cs.positive++
 	}
-	return ans, false
+	return ans, cached
 }
 
 // ReachableBatch answers pairs through the cache, splitting the work

@@ -20,19 +20,26 @@ import (
 	reach "repro"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/observe"
 )
 
-// fixture builds a citation-style DAG, its DL oracle, and a running test
-// server.
-func fixture(t testing.TB, cfg Config) (*reach.Graph, *Server, *httptest.Server) {
-	t.Helper()
+// fixtureEdges is the fixture's citation-style DAG as a vertex count and
+// an edge list.
+func fixtureEdges() (int, [][2]uint32) {
 	raw := gen.CitationDAG(600, 3, 0.5, 42)
 	edges := make([][2]uint32, 0, raw.NumEdges())
 	raw.Edges(func(u, v graph.Vertex) bool {
 		edges = append(edges, [2]uint32{uint32(u), uint32(v)})
 		return true
 	})
-	g, err := reach.NewGraph(raw.NumVertices(), edges)
+	return raw.NumVertices(), edges
+}
+
+// fixture builds a citation-style DAG, its DL oracle, and a running test
+// server.
+func fixture(t testing.TB, cfg Config) (*reach.Graph, *Server, *httptest.Server) {
+	t.Helper()
+	g, err := reach.NewGraph(fixtureEdges())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +152,7 @@ func TestHealthzIdentity(t *testing.T) {
 }
 
 func TestReachableEndpoint(t *testing.T) {
-	g, _, ts := fixture(t, Config{})
+	g, s, ts := fixture(t, Config{})
 	oracle, err := reach.Build(g, reach.MethodBFS, reach.Options{}) // ground truth
 	if err != nil {
 		t.Fatal(err)
@@ -164,12 +171,32 @@ func TestReachableEndpoint(t *testing.T) {
 		}
 	}
 	// A repeated query must come from the cache.
-	getJSON(t, ts.URL+"/v1/reachable?u=0&v=1", nil)
+	u, v := undecidedPair(t, s)
+	url := fmt.Sprintf("%s/v1/reachable?u=%d&v=%d", ts.URL, u, v)
+	getJSON(t, url, nil)
 	var got ReachableResponse
-	getJSON(t, ts.URL+"/v1/reachable?u=0&v=1", &got)
+	getJSON(t, url, &got)
 	if !got.Cached {
 		t.Error("repeat query not served from cache")
 	}
+}
+
+// undecidedPair returns a pair of vertices in two SCCs that the
+// observers leave to the index: only such pairs reach the cache.
+func undecidedPair(t testing.TB, s *Server) (uint32, uint32) {
+	t.Helper()
+	st := s.oracle.Observers()
+	n := uint32(s.g.NumVertices())
+	for u := uint32(0); u < n; u++ {
+		for v := uint32(0); v < n; v++ {
+			cu, cv := s.g.MapVertex(u), s.g.MapVertex(v)
+			if cu != cv && st.Query(cu, cv) == observe.Unknown {
+				return u, v
+			}
+		}
+	}
+	t.Fatal("the observers decide every pair")
+	return 0, 0
 }
 
 func TestReachableEndpointRejectsBadInput(t *testing.T) {
@@ -270,10 +297,12 @@ func TestBatchEndpointLimits(t *testing.T) {
 }
 
 func TestStatsEndpoint(t *testing.T) {
-	g, _, ts := fixture(t, Config{})
+	g, s, ts := fixture(t, Config{})
 	// Same query twice: one miss then one hit.
-	getJSON(t, ts.URL+"/v1/reachable?u=1&v=2", nil)
-	getJSON(t, ts.URL+"/v1/reachable?u=1&v=2", nil)
+	u, v := undecidedPair(t, s)
+	url := fmt.Sprintf("%s/v1/reachable?u=%d&v=%d", ts.URL, u, v)
+	getJSON(t, url, nil)
+	getJSON(t, url, nil)
 
 	var got Stats
 	resp := getJSON(t, ts.URL+"/v1/stats", &got)

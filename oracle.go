@@ -159,21 +159,36 @@ func Methods() []Method {
 // Out-of-range vertex IDs are never reachable (and never reach anything),
 // so they answer false rather than panicking.
 func (o *Oracle) Reachable(u, v uint32) bool {
+	cu, cv, ans, decided := o.Decide(u, v)
+	if !decided {
+		ans = o.Probe(cu, cv)
+	}
+	return ans
+}
+
+// Decide answers what needs no index: out-of-range IDs (false), one SCC
+// (true) and observer verdicts. It returns the pair's DAG vertices and
+// whether ans is the answer; if not, Probe(cu, cv) is. A cache of probe
+// answers keyed by (cu, cv) serves every vertex pair of the two SCCs.
+func (o *Oracle) Decide(u, v uint32) (cu, cv uint32, ans, decided bool) {
 	n := uint32(o.g.originalN)
 	if u >= n || v >= n {
-		return false
+		return 0, 0, false, true
 	}
-	cu, cv := o.g.comp[u], o.g.comp[v]
+	cu, cv = uint32(o.g.comp[u]), uint32(o.g.comp[v])
 	if cu == cv {
-		return true // same SCC (or same vertex)
+		return cu, cv, true, true // same SCC (or same vertex)
 	}
 	if st := o.obs.Load(); st != nil {
-		if verdict := st.Query(uint32(cu), uint32(cv)); verdict != observe.Unknown {
-			return verdict == observe.Positive
+		if verdict := st.Query(cu, cv); verdict != observe.Unknown {
+			return cu, cv, verdict == observe.Positive, true
 		}
 	}
-	return o.idx.Reachable(uint32(cu), uint32(cv))
+	return cu, cv, false, false
 }
+
+// Probe asks the index whether DAG vertex cu reaches cv (a pair Decide left open).
+func (o *Oracle) Probe(cu, cv uint32) bool { return o.idx.Reachable(cu, cv) }
 
 // ReachableBatch answers many queries in one call: out[i] reports whether
 // pairs[i][0] reaches pairs[i][1]. If out is non-nil and long enough it is
