@@ -15,11 +15,11 @@
 //
 // -mux-addr is where reachd listens for the raw-TCP stream transport
 // (docs/WIRE.md, "Stream transport"), which carries every fleet router
-// sub-batch whose IDs fit u32. It is always on: the default takes any
-// free port on the host -addr names (":0" for the default ":8080", so
-// a reachd bound to loopback keeps its stream listener on loopback),
-// and /v1/healthz advertises the port actually bound, so routers find
-// it without configuration.
+// sub-batch and single query whose IDs fit u32. It is always on: the
+// default takes any free port on the host -addr names (":0" for the
+// default ":8080", so a reachd bound to loopback keeps its stream
+// listener on loopback), and /v1/healthz advertises the port actually
+// bound, so routers find it without configuration.
 //
 // If -snapshot names an existing snapshot of the same graph and method,
 // it is memory-mapped and serving starts in milliseconds — the snapshot
@@ -83,7 +83,7 @@ func main() {
 		inflight  = flag.Int("max-inflight", 0, "max concurrent query requests before answering 429 (0 = unlimited)")
 		slowTO    = flag.Duration("slow-query-log", 0, "log queries slower than this as JSON lines on stderr (0 disables)")
 		pprof     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		muxAddr   = flag.String("mux-addr", "", "listen address for the raw-TCP stream transport that fleet routers send batches over; advertised via /v1/healthz (default: the -addr host, port 0 = any free port)")
+		muxAddr   = flag.String("mux-addr", "", "listen address for the raw-TCP stream transport that fleet routers send batches and single queries over; advertised via /v1/healthz (default: the -addr host, port 0 = any free port)")
 	)
 	flag.Parse()
 	// An unset -method means "whatever the snapshot holds" when loading,
@@ -137,7 +137,7 @@ func run(graphPath, method string, methodSet bool, addr, snapshot, muxAddr strin
 		return fmt.Errorf("-graph or -snapshot is required")
 	}
 	if muxAddr == "" {
-		return fmt.Errorf("-mux-addr must not be empty (fleet routers send batches only over the stream transport; HOST:0 takes any free port)")
+		return fmt.Errorf("-mux-addr must not be empty (fleet routers send batches and single queries only over the stream transport; HOST:0 takes any free port)")
 	}
 	var g *reach.Graph
 	if graphPath != "" {

@@ -134,3 +134,29 @@ func BenchmarkDirectBatch(b *testing.B) {
 		b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "pairs/sec")
 	})
 }
+
+// BenchmarkRouterReachable is the single-query counterpart of
+// BenchmarkRouterBatch/replicas=1: one single with u32 IDs through a
+// router in front of one real replica, by the call the router's GET
+// /v1/reachable makes, so it crosses the stream transport as a single
+// frame. The queries cycle through 512 pairs that an untimed round
+// primes the replica's cache with, so the loop measures the hop rather
+// than the probe.
+func BenchmarkRouterReachable(b *testing.B) {
+	rt, g := benchFleet(b, 1)
+	pairs := benchPairs(g, 512)
+	ctx := context.Background()
+	for _, p := range pairs {
+		if _, err := rt.Reachable(ctx, p[0], p[1]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		if _, err := rt.Reachable(ctx, p[0], p[1]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -33,12 +33,12 @@ type wireCounters struct {
 	rxJSON     atomic.Int64
 }
 
-// Client speaks the reachd v1 protocol to one replica: JSON over HTTP
-// for health, stats, single queries and batches holding an ID wider
-// than u32, and wireproto frames over the replica's stream transport
-// (internal/mux) for every other batch. It reuses the server package's
-// exported wire types, so the router can never drift from what the
-// replicas actually serve.
+// Client speaks the reachd v1 protocol to one replica: wireproto frames
+// over the replica's stream transport (internal/mux) for every batch and
+// single query whose IDs fit u32, and HTTP for health, stats and the
+// queries holding an ID wider than u32 (JSON POST /v1/batch, GET
+// /v1/reachable). It reuses the server package's exported wire types,
+// so the router can never drift from what the replicas actually serve.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -58,19 +58,19 @@ type Client struct {
 
 // NewClient returns a client for the replica at base (e.g.
 // "http://10.0.0.3:8080"). timeout bounds each HTTP request end-to-end;
-// zero means no timeout. Batches whose IDs fit u32 need UseMux first.
+// zero means no timeout. Queries whose IDs fit u32 need UseMux first.
 func NewClient(base string, timeout time.Duration) *Client {
 	return &Client{base: base, hc: &http.Client{Timeout: timeout}, counters: &wireCounters{}}
 }
 
 // errNoMux: the replica advertises no stream-transport listener (or
-// UseMux was never called), so its batches have nowhere to go.
+// UseMux was never called), so its u32 queries have nowhere to go.
 var errNoMux = errors.New("replica advertises no mux listener")
 
-// UseMux points Batch at the replica's stream-transport listener at
-// addr and makes sure the pool holds a live connection, dialing one
-// only when none is live: a handshake that checks the snapshot
-// fingerprint.
+// UseMux points Batch and Reachable at the replica's stream-transport
+// listener at addr and makes sure the pool holds a live connection,
+// dialing one only when none is live: a handshake that checks the
+// snapshot fingerprint.
 // The router calls it on every probe and enrolls the replica only when
 // it returns nil. A changed address or fingerprint replaces the pool
 // (closing the old one), so stale connections cannot outlive what
@@ -221,10 +221,24 @@ func (c *Client) Stats(ctx context.Context) (server.Stats, error) {
 	return st, err
 }
 
-// Reachable asks the replica one query.
+// Reachable asks the replica one query, with GET /v1/reachable's
+// semantics: an unknown vertex is a 400 *StatusError, and the answer
+// says whether the replica's cache supplied it. Like a batch, the query
+// goes as a frame over the stream transport when both IDs fit u32 (a
+// single frame, retried as viaMux retries a batch), and as GET
+// /v1/reachable otherwise.
 func (c *Client) Reachable(ctx context.Context, u, v uint64) (server.ReachableResponse, error) {
-	var rr server.ReachableResponse
-	err := c.get(ctx, fmt.Sprintf("/v1/reachable?u=%d&v=%d", u, v), &rr)
+	if u > math.MaxUint32 || v > math.MaxUint32 {
+		var rr server.ReachableResponse
+		err := c.get(ctx, fmt.Sprintf("/v1/reachable?u=%d&v=%d", u, v), &rr)
+		return rr, err
+	}
+	// A separate rr from the GET's keeps this one off the heap.
+	rr := server.ReachableResponse{U: u, V: v}
+	err := c.viaMux(ctx, func(cn *mux.Conn, trace string) (err error) {
+		rr.Reachable, rr.Cached, err = cn.Single(ctx, uint32(u), uint32(v), trace)
+		return err
+	})
 	return rr, err
 }
 
@@ -239,7 +253,7 @@ func (c *Client) Reachable(ctx context.Context, u, v uint64) (server.ReachableRe
 // IDs). Replica verdicts, an HTTP error status or an in-band error
 // frame alike, surface as *StatusError; any other error is a transport
 // failure, which the router answers by ejecting the replica and failing
-// over.
+// over. Reachable follows the same rules.
 func (c *Client) Batch(ctx context.Context, pairs [][2]uint64) ([]bool, error) {
 	sc := clientScratchPool.Get().(*clientScratch)
 	defer clientScratchPool.Put(sc)
@@ -257,38 +271,49 @@ func (c *Client) Batch(ctx context.Context, pairs [][2]uint64) ([]bool, error) {
 	return c.batchMux(ctx, p32)
 }
 
-// batchMux sends pairs over the stream transport. A batch whose
-// connection fails under it (the stream dies, or the dial for a fresh
-// connection fails) is retried once on another pool connection, so one
-// lost connection does not eject a live replica; a second failure is
-// returned for the router to eject the replica and fail over. Error
-// frames are the replica's verdict and surface as *StatusError exactly
-// like HTTP statuses, so the router's retry/failover policy is
-// transport-blind.
+// batchMux sends pairs over the stream transport.
 func (c *Client) batchMux(ctx context.Context, pairs [][2]uint32) ([]bool, error) {
+	out := make([]bool, len(pairs))
+	if err := c.viaMux(ctx, func(cn *mux.Conn, trace string) error {
+		return cn.Batch(ctx, pairs, out, trace)
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// viaMux runs one request, a batch or a single query, on a connection
+// of the replica's stream-transport pool, with ctx's trace ID. A
+// request whose connection fails under it (the stream dies, or the dial
+// for a fresh connection fails) is retried once on another pool
+// connection, so one lost connection does not eject a live replica; a
+// second failure is returned for the router to eject the replica and
+// fail over. Error frames are the replica's verdict and surface as
+// *StatusError exactly like HTTP statuses, so the router's
+// retry/failover policy is transport-blind.
+func (c *Client) viaMux(ctx context.Context, call func(cn *mux.Conn, trace string) error) error {
 	p := c.muxPool.Load()
 	if p == nil {
-		return nil, errNoMux
+		return errNoMux
 	}
-	out := make([]bool, len(pairs))
 	trace := obs.TraceFrom(ctx)
 	var err error
 	for range 2 {
 		var cn *mux.Conn
 		if cn, err = p.Get(ctx); err == nil {
-			if err = cn.Batch(ctx, pairs, out, trace); err == nil {
-				return out, nil
+			if err = call(cn, trace); err == nil {
+				return nil
 			}
 		}
 		var f *mux.Fail
 		if errors.As(err, &f) {
-			return nil, &StatusError{Status: f.Status, Body: f.Msg}
+			return &StatusError{Status: f.Status, Body: f.Msg}
 		}
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
+			return ctxErr
 		}
 	}
-	return nil, err
+	return err
 }
 
 // resolveMuxAddr turns a replica's advertised mux address into a

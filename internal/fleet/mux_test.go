@@ -2,7 +2,11 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -247,5 +251,219 @@ func TestResolveMuxAddr(t *testing.T) {
 		if got := resolveMuxAddr(c.base, c.adv); got != c.want {
 			t.Errorf("resolveMuxAddr(%q, %q) = %q, want %q", c.base, c.adv, got, c.want)
 		}
+	}
+}
+
+// TestStreamDeathUnderSingleRetriedOnce is TestStreamDeathRetriedOnce
+// for a single query: closing the mux connection under an in-flight
+// single costs one retry on another pool connection, not the replica.
+func TestStreamDeathUnderSingleRetriedOnce(t *testing.T) {
+	f := newFakeReplica("f1", xorAnswer)
+	inFlight := make(chan struct{})
+	release := make(chan struct{})
+	var held atomic.Bool
+	f.hold = func() {
+		if held.CompareAndSwap(false, true) {
+			close(inFlight)
+			<-release
+		}
+	}
+	base := f.start(t)
+	rt := newTestRouter(t, silentCfg(base))
+
+	type result struct {
+		resp server.ReachableResponse
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := rt.Reachable(context.Background(), 6, 9)
+		done <- result{resp, err}
+	}()
+	<-inFlight
+	// The connection carrying the single has read a request frame on top
+	// of its handshake, so it is the busiest one.
+	f.muxLn.busiest().Close()
+	close(release)
+	got := <-done
+	if got.err != nil {
+		t.Fatalf("single failed after its stream died: %v", got.err)
+	}
+	if got.resp.Reachable != xorAnswer(6, 9) {
+		t.Fatal("single answered wrong after the retry")
+	}
+	if n := f.singleCalls.Load(); n != 2 {
+		t.Fatalf("replica saw %d single frames, want 2 (the lost one and one retry)", n)
+	}
+	if fo, re := rt.met.failovers.Load(), rt.met.retries.Load(); fo != 0 || re != 0 {
+		t.Fatalf("failovers=%d retries=%d, want 0 and 0", fo, re)
+	}
+	if st := replicaStatsByBase(t, rt)[base].State; st != "healthy" {
+		t.Fatalf("replica %s after one lost stream, want healthy", st)
+	}
+}
+
+// TestSingle429OverMuxFailsOver: a replica shedding single frames costs
+// a failover, as an HTTP 429 does (TestRouterHonors429); no single
+// reaches either replica's HTTP endpoint, and with every replica
+// shedding the client's 429 carries Retry-After 1, because an error
+// frame has no hint to relay.
+func TestSingle429OverMuxFailsOver(t *testing.T) {
+	a := newFakeReplica("f1", xorAnswer)
+	a.retryAfter = 9
+	b := newFakeReplica("f1", xorAnswer)
+	rt := newTestRouter(t, silentCfg(a.start(t), b.start(t)))
+	a.mode.Store(mode429)
+	for i := uint64(0); i < 40; i++ {
+		got, err := rt.Reachable(context.Background(), i, i+1)
+		if err != nil || got.Reachable != xorAnswer(i, i+1) {
+			t.Fatalf("query %d past a shedding replica = %+v, %v", i, got, err)
+		}
+	}
+	if rt.met.upstream429.Load() == 0 || a.singleCalls.Load() == 0 {
+		t.Fatalf("shedding replica saw %d singles, router absorbed %d 429s; want both > 0",
+			a.singleCalls.Load(), rt.met.upstream429.Load())
+	}
+	b.mode.Store(mode429)
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/v1/reachable?u=1&v=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("all-shedding fleet: status %d, Retry-After %q; want 429 and 1",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if n := a.httpSingles.Load() + b.httpSingles.Load(); n != 0 {
+		t.Fatalf("%d u32 singles went over HTTP, want 0", n)
+	}
+}
+
+// TestRouterSingleSemantics drives GET /v1/reachable through a router
+// in front of one real replica, in dense and original-ID mode. A u32
+// single now travels as a single frame, and the client sees what the
+// replica's own HTTP endpoint answers: an unknown vertex is a 400 whose
+// body is byte for byte the replica's, a repeated pair the observers
+// leave undecided reads cached:true, and an observer-decided pair reads
+// cached:false however often it is asked.
+func TestRouterSingleSemantics(t *testing.T) {
+	g, oracle := realOracle(t)
+	n := g.NumVertices()
+	for _, mode := range []string{"dense", "original"} {
+		t.Run(mode, func(t *testing.T) {
+			cfg := server.Config{}
+			api := func(dense int) uint64 { return uint64(dense) }
+			unknown, unknownMsg := uint64(n+10), fmt.Sprintf("vertex %d not in graph (valid IDs are 0..%d)", n+10, n-1)
+			if mode == "original" {
+				cfg.OrigIDs = make([]int64, n)
+				for i := range cfg.OrigIDs {
+					cfg.OrigIDs[i] = int64(1000 + 2*i)
+				}
+				api = func(dense int) uint64 { return uint64(1000 + 2*dense) }
+				unknown, unknownMsg = 1001, "vertex 1001 is not an original vertex ID of the served graph"
+			}
+			base := startReplica(t, g, oracle, cfg)
+			rt := newTestRouter(t, silentCfg(base))
+			ts := httptest.NewServer(rt.Handler())
+			defer ts.Close()
+			get := func(url string) (int, string) {
+				t.Helper()
+				resp, err := http.Get(url)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				body, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resp.StatusCode, string(body)
+			}
+
+			query := fmt.Sprintf("/v1/reachable?u=%d&v=%d", unknown, api(0))
+			status, body := get(ts.URL + query)
+			_, direct := get(base + query)
+			if want := `{"error":"` + unknownMsg + `"}` + "\n"; status != http.StatusBadRequest || body != want || body != direct {
+				t.Fatalf("unknown vertex through the router: %d %q; want 400 %q, as the replica answers %q",
+					status, body, want, direct)
+			}
+
+			var undecided, decided [2]int
+			haveU, haveD := false, false
+			for u := 0; u < n && !(haveU && haveD); u++ {
+				for v := 0; v < n; v++ {
+					_, _, _, dec := oracle.Decide(uint32(u), uint32(v))
+					if !dec && !haveU {
+						undecided, haveU = [2]int{u, v}, true
+					}
+					if dec && u != v && !haveD {
+						decided, haveD = [2]int{u, v}, true
+					}
+				}
+			}
+			if !haveU || !haveD {
+				t.Fatal("graph has no undecided or no decided pair to query")
+			}
+			for _, c := range []struct {
+				pair       [2]int
+				wantCached []bool
+			}{
+				{undecided, []bool{false, true, true}},
+				{decided, []bool{false, false, false}},
+			} {
+				u, v := api(c.pair[0]), api(c.pair[1])
+				for round, wantCached := range c.wantCached {
+					status, body := get(fmt.Sprintf("%s/v1/reachable?u=%d&v=%d", ts.URL, u, v))
+					want, _ := json.Marshal(server.ReachableResponse{U: u, V: v,
+						Reachable: oracle.Reachable(uint32(c.pair[0]), uint32(c.pair[1])), Cached: wantCached})
+					if status != http.StatusOK || body != string(want)+"\n" {
+						t.Fatalf("pair %v round %d: %d %q, want 200 %s", c.pair, round, status, body, want)
+					}
+				}
+			}
+			if n := rt.met.muxTraffic.FramesTx.Load(); n != 7 {
+				t.Fatalf("router sent %d mux frames for 7 singles, want 7", n)
+			}
+		})
+	}
+}
+
+// TestClientWideIDSingleUsesHTTP is TestClientWideIDsFallBackToJSON for
+// a single query: an ID beyond uint32 cannot ride a single frame, so
+// that query takes GET /v1/reachable, while the next narrow one goes
+// over mux again.
+func TestClientWideIDSingleUsesHTTP(t *testing.T) {
+	g, oracle := realOracle(t)
+	wide := int64(math.MaxUint32) + 7
+	orig := make([]int64, g.NumVertices())
+	for i := range orig {
+		orig[i] = int64(i)
+	}
+	orig[1] = wide
+	c := muxClient(t, startReplica(t, g, oracle, server.Config{OrigIDs: orig}))
+
+	rr, err := c.Reachable(context.Background(), uint64(wide), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr.U != uint64(wide) || rr.V != 2 || rr.Reachable != oracle.Reachable(1, 2) {
+		t.Fatalf("wide-ID single answered %+v", rr)
+	}
+	if c.muxCounters.FramesTx.Load() != 0 {
+		t.Fatalf("wide-ID single sent %d mux frames, want 0", c.muxCounters.FramesTx.Load())
+	}
+
+	rr, err = c.Reachable(context.Background(), 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr.Reachable != oracle.Reachable(0, 2) || c.muxCounters.FramesTx.Load() != 1 {
+		t.Fatalf("narrow single after the wide one: %+v with %d mux frames, want 1",
+			rr, c.muxCounters.FramesTx.Load())
+	}
+	if n := c.counters.framesJSON.Load(); n != 0 {
+		t.Fatalf("%d JSON batches for two singles, want 0", n)
 	}
 }

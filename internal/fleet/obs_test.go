@@ -83,6 +83,10 @@ func TestTracePropagationE2E(t *testing.T) {
 	if got, _ := f.lastTrace.Load().(string); got != minted {
 		t.Fatalf("replica received trace %q, router minted %q", got, minted)
 	}
+	// Both singles carried their trace in the single frame's envelope.
+	if mx, gets := f.singleCalls.Load(), f.httpSingles.Load(); mx != 2 || gets != 0 {
+		t.Fatalf("replica saw %d mux singles and %d HTTP GETs, want 2 and 0", mx, gets)
+	}
 
 	// Batches propagate the same way.
 	body, _ := json.Marshal(server.BatchRequest{Pairs: [][2]uint64{{1, 2}, {3, 4}}})

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -32,10 +33,11 @@ const (
 	mode500
 )
 
-// fakeReplica is a scripted reachd stand-in: it answers singles over
-// HTTP and batches over its own mux listener (advertised in healthz)
-// from a pure function, and can be told to shed (429), fail (500),
-// delay, or die and come back on the same addresses.
+// fakeReplica is a scripted reachd stand-in: it answers batches and
+// singles over its own mux listener (advertised in healthz), and
+// singles too wide for a frame over HTTP, from a pure function, and can
+// be told to shed (429), fail (500), delay, or die and come back on the
+// same addresses.
 type fakeReplica struct {
 	fingerprint string
 	answer      func(u, v uint64) bool
@@ -43,13 +45,15 @@ type fakeReplica struct {
 	batchMode   atomic.Int32 // overrides mode for batches when set
 	delay       time.Duration
 	retryAfter  int
-	// hold, when set, runs at the start of every batch; a test blocks
-	// in it to keep a batch in flight.
+	// hold, when set, runs at the start of every batch and mux single; a
+	// test blocks in it to keep a request in flight.
 	hold func()
 
-	queries    atomic.Int64 // pairs answered (single + batch)
-	batchCalls atomic.Int64
-	lastTrace  atomic.Value // trace ID of the last query received
+	queries     atomic.Int64 // pairs answered (single + batch)
+	batchCalls  atomic.Int64
+	singleCalls atomic.Int64 // single frames received over mux
+	httpSingles atomic.Int64 // GET /v1/reachable requests received
+	lastTrace   atomic.Value // trace ID of the last query received
 
 	addr, muxAddr string
 	srv           *http.Server
@@ -83,7 +87,7 @@ func (f *fakeReplica) start(t *testing.T) string {
 	f.muxLn = &trackingListener{Listener: listenAt(t, f.muxAddr)}
 	f.addr, f.muxAddr = ln.Addr().String(), f.muxLn.Addr().String()
 	f.srv = &http.Server{Handler: f.handler()}
-	f.muxSrv = mux.NewServer(mux.ServerConfig{Batch: f.muxBatch, Fingerprint: f.fingerprint})
+	f.muxSrv = mux.NewServer(mux.ServerConfig{Batch: f.muxBatch, Single: f.muxSingle, Fingerprint: f.fingerprint})
 	go f.srv.Serve(ln)
 	go f.muxSrv.Serve(f.muxLn)
 	t.Cleanup(f.stop)
@@ -124,6 +128,7 @@ func (f *fakeReplica) handler() http.Handler {
 		})
 	})
 	mux.HandleFunc("GET /v1/reachable", func(w http.ResponseWriter, r *http.Request) {
+		f.httpSingles.Add(1)
 		f.lastTrace.Store(r.Header.Get(obs.TraceHeader))
 		if f.delay > 0 {
 			time.Sleep(f.delay)
@@ -162,16 +167,44 @@ func (f *fakeReplica) muxBatch(_ context.Context, trace string, pairs [][2]uint3
 	if mode == modeOK {
 		mode = f.mode.Load()
 	}
+	if fail := modeFail(mode); fail != nil {
+		return fail
+	}
+	for i, p := range pairs {
+		out[i] = f.answer(uint64(p[0]), uint64(p[1]))
+	}
+	f.queries.Add(int64(len(pairs)))
+	return nil
+}
+
+// muxSingle is the fake's mux.SingleFunc: the single-query half of its
+// scripted behavior, as its GET /v1/reachable handler scripts it, with
+// sheds and failures as in-band error frames.
+func (f *fakeReplica) muxSingle(_ context.Context, trace string, u, v uint32) (bool, bool, error) {
+	f.lastTrace.Store(trace)
+	f.singleCalls.Add(1)
+	if f.hold != nil {
+		f.hold()
+	}
+	if f.delay > 0 {
+		time.Sleep(f.delay)
+	}
+	if fail := modeFail(f.mode.Load()); fail != nil {
+		return false, false, fail
+	}
+	f.queries.Add(1)
+	return f.answer(uint64(u), uint64(v)), false, nil
+}
+
+// modeFail is the in-band error frame a scripted mode answers with, or
+// nil for modeOK.
+func modeFail(mode int32) error {
 	switch mode {
 	case mode429:
 		return &mux.Fail{Status: http.StatusTooManyRequests, Msg: "shedding"}
 	case mode500:
 		return &mux.Fail{Status: http.StatusInternalServerError, Msg: "injected failure"}
 	}
-	for i, p := range pairs {
-		out[i] = f.answer(uint64(p[0]), uint64(p[1]))
-	}
-	f.queries.Add(int64(len(pairs)))
 	return nil
 }
 
@@ -421,13 +454,15 @@ func TestRouterHonors429(t *testing.T) {
 
 	// Both shedding with different hints: the client's 429 must carry
 	// the most conservative (largest) Retry-After the fleet gave, no
-	// matter which replica was tried last.
+	// matter which replica was tried last. Hints travel only as HTTP
+	// headers (an in-band error frame has none), so the query holds an
+	// ID too wide for a frame and takes GET /v1/reachable.
 	b.mode.Store(mode429)
 	b.retryAfter = 1
 	ts := httptest.NewServer(rt.Handler())
 	defer ts.Close()
 	for i := 0; i < 10; i++ {
-		resp, err := http.Get(ts.URL + "/v1/reachable?u=1&v=2")
+		resp, err := http.Get(fmt.Sprintf("%s/v1/reachable?u=%d&v=2", ts.URL, uint64(math.MaxUint32)+1))
 		if err != nil {
 			t.Fatal(err)
 		}

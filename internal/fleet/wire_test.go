@@ -101,6 +101,8 @@ func TestClientSurfaces415(t *testing.T) {
 	ms := mux.NewServer(mux.ServerConfig{Batch: func(context.Context, string, [][2]uint32, []bool) error {
 		muxBatches.Add(1)
 		return &mux.Fail{Status: http.StatusUnsupportedMediaType, Msg: "batch frames not accepted"}
+	}, Single: func(context.Context, string, uint32, uint32) (bool, bool, error) {
+		return false, false, &mux.Fail{Status: http.StatusUnsupportedMediaType, Msg: "single frames not accepted"}
 	}})
 	muxLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -18,7 +18,7 @@ func BenchmarkMuxBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := NewServer(ServerConfig{Batch: echoBenchBatch})
+	s := NewServer(ServerConfig{Batch: echoBenchBatch, Single: echoSingle})
 	go s.Serve(ln)
 	defer func() {
 		ctx, cancel := context.WithCancel(context.Background())

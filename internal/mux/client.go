@@ -74,8 +74,8 @@ const (
 	slotAbandoned
 )
 
-// Conn is one multiplexed client connection. Batch is safe for
-// concurrent use; up to Window batches are in flight at once and
+// Conn is one multiplexed client connection. Batch and Single are safe
+// for concurrent use; up to Window requests are in flight at once and
 // excess callers queue on the free-slot channel.
 type Conn struct {
 	c        net.Conn
@@ -221,16 +221,36 @@ func (cn *Conn) Batch(ctx context.Context, pairs [][2]uint32, out []bool, trace 
 	if len(out) != len(pairs) {
 		return wireproto.ErrBuffer
 	}
+	_, err := cn.roundTrip(ctx, pairs, out, false, trace)
+	return err
+}
+
+// Single sends one query as a single frame and returns the replica's
+// answer and whether its cache supplied it. Unlike a one-pair batch, a
+// query the replica rejects (an unknown vertex) comes back as *Fail
+// with status 400. It allocates nothing in the steady state, like
+// Batch.
+func (cn *Conn) Single(ctx context.Context, u, v uint32, trace string) (reachable, cached bool, err error) {
+	pair := [1][2]uint32{{u, v}}
+	var out [1]bool
+	cached, err = cn.roundTrip(ctx, pair[:], out[:], true, trace)
+	return out[0], cached, err
+}
+
+// roundTrip sends pairs as one request frame, a single query when
+// single is set, on a free stream and decodes the answer into out,
+// reporting a single query's cached flag.
+func (cn *Conn) roundTrip(ctx context.Context, pairs [][2]uint32, out []bool, single bool, trace string) (cached bool, err error) {
 	if cn.dead.Load() {
-		return cn.failErr()
+		return false, cn.failErr()
 	}
 	var id uint32
 	select {
 	case id = <-cn.free:
 	case <-ctx.Done():
-		return ctx.Err()
+		return false, ctx.Err()
 	case <-cn.readerDone:
-		return cn.failErr()
+		return false, cn.failErr()
 	}
 	sl := &cn.slots[id]
 
@@ -244,14 +264,14 @@ func (cn *Conn) Batch(ctx context.Context, pairs [][2]uint32, out []bool, trace 
 		sl.req = make([]byte, size)
 	}
 	sl.req = sl.req[:size]
-	buildRequest(sl.req, id, pairs, trace, useTrace)
+	buildRequest(sl.req, id, pairs, single, trace, useTrace)
 
 	sl.state.Store(slotWaiting)
 	if cn.dead.Load() {
 		// The reader may have exited before it could see this slot;
 		// reclaim it ourselves unless failAll got there first.
 		if sl.state.CompareAndSwap(slotWaiting, slotFree) {
-			return cn.failErr()
+			return false, cn.failErr()
 		}
 	} else {
 		cn.wmu.Lock()
@@ -270,16 +290,16 @@ func (cn *Conn) Batch(ctx context.Context, pairs [][2]uint32, out []bool, trace 
 	case <-sl.done:
 	case <-ctx.Done():
 		if sl.state.CompareAndSwap(slotWaiting, slotAbandoned) {
-			return ctx.Err() // the reader reclaims the slot when the late response lands
+			return false, ctx.Err() // the reader reclaims the slot when the late response lands
 		}
 		<-sl.done // lost the race: a signal is already in flight
 		cn.release(id, sl)
-		return ctx.Err()
+		return false, ctx.Err()
 	}
 	if sl.err != nil {
 		err := sl.err
 		cn.release(id, sl)
-		return err
+		return false, err
 	}
 	resp := sl.resp[:sl.respN]
 	if wireproto.IsError(resp) {
@@ -287,9 +307,9 @@ func (cn *Conn) Batch(ctx context.Context, pairs [][2]uint32, out []bool, trace 
 		cn.release(id, sl)
 		if derr != nil {
 			cn.fail(derr)
-			return derr
+			return false, derr
 		}
-		return &Fail{Status: status, Msg: msg}
+		return false, &Fail{Status: status, Msg: msg}
 	}
 	m, err := wireproto.ResponseCount(resp)
 	if err == nil && m != len(pairs) {
@@ -298,25 +318,32 @@ func (cn *Conn) Batch(ctx context.Context, pairs [][2]uint32, out []bool, trace 
 	if err != nil {
 		cn.release(id, sl)
 		cn.fail(err)
-		return err
+		return false, err
 	}
 	wireproto.DecodeResponse(resp, out)
+	cached = single && wireproto.IsCached(resp)
 	cn.release(id, sl)
-	return nil
+	return cached, nil
 }
 
 // buildRequest stages one request into buf: envelope, optional trace
-// field, frame. buf is pre-sized by the caller.
+// field, frame (a single-query frame when single is set). buf is
+// pre-sized by the caller.
 //
 //reach:hotpath
-func buildRequest(buf []byte, stream uint32, pairs [][2]uint32, trace string, useTrace bool) {
+func buildRequest(buf []byte, stream uint32, pairs [][2]uint32, single bool, trace string, useTrace bool) {
 	off := wireproto.EnvelopeSize
 	var flags uint32
 	if useTrace {
 		flags = wireproto.EnvFlagTrace
 		off += wireproto.PutTrace(buf[wireproto.EnvelopeSize:], trace)
 	}
-	n := wireproto.EncodeRequest(buf[off:], pairs)
+	var n int
+	if single {
+		n = wireproto.EncodeSingle(buf[off:], pairs[0][0], pairs[0][1])
+	} else {
+		n = wireproto.EncodeRequest(buf[off:], pairs)
+	}
 	wireproto.PutEnvelope(buf, stream, flags, uint32(n))
 }
 

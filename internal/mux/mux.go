@@ -1,9 +1,12 @@
-// Package mux is the router↔replica batch transport: wireproto frames
+// Package mux is the router↔replica query transport: wireproto frames
 // prefixed with a small stream envelope travel over a few long-lived
 // raw-TCP connections per replica, so the fleet router pipelines many
-// in-flight batches without paying HTTP/1.1 header parsing or
+// in-flight requests without paying HTTP/1.1 header parsing or
 // per-request connection bookkeeping on every call. It is the only
-// interior path for batches whose vertex IDs fit u32; JSON over HTTP is
+// interior path for batches and single queries whose vertex IDs fit
+// u32: a batch is one request frame (Conn.Batch), a single query a
+// one-pair frame flagged single (Conn.Single), whose response carries
+// the cache flag and whose unknown vertex is an in-band 400. HTTP is
 // left to wider IDs and to direct clients.
 //
 // The first frame in each direction is a handshake carrying a
@@ -13,13 +16,14 @@
 // connection with an in-band 409 error frame. The router enrolls a
 // replica only after such a handshake succeeds.
 //
-// Per-batch refusals (a malformed or over-limit frame, a full admission
-// gate, an expired deadline) travel in-band as error frames on the
-// batch's own stream and leave the connection serving. A connection
-// that dies is a transport error: the fleet client retries the batch
-// once on another connection, and then the router fails over to
-// another replica — never a wrong answer. Steady-state send and receive
-// allocate nothing on either side (AllocsPerRun-pinned).
+// Per-request refusals (a malformed or over-limit frame, a full
+// admission gate, an expired deadline, a single query's unknown vertex)
+// travel in-band as error frames on the request's own stream and leave
+// the connection serving. A connection that dies is a transport error:
+// the fleet client retries the request once on another connection, and
+// then the router fails over to another replica — never a wrong answer.
+// Steady-state send and receive allocate nothing on either side
+// (AllocsPerRun-pinned).
 package mux
 
 import (
@@ -31,7 +35,7 @@ import (
 	"repro/internal/wireproto"
 )
 
-// Defaults. Window bounds in-flight batches per connection (the
+// Defaults. Window bounds in-flight requests per connection (the
 // dispatch tables are sized by it); ConnsPerReplica is how many
 // connections a client pool keeps toward one replica.
 const (

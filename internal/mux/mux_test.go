@@ -19,13 +19,27 @@ func echoBatch(_ context.Context, _ string, pairs [][2]uint32, out []bool) error
 	return nil
 }
 
+// echoSingle answers a single query as echoBatch would, reports u==v as
+// cached, and rejects u==0 as an unknown vertex, so every outcome of a
+// single frame is checkable from the query alone.
+func echoSingle(_ context.Context, _ string, u, v uint32) (bool, bool, error) {
+	if u == 0 {
+		return false, false, &Fail{Status: 400, Msg: fmt.Sprintf("vertex %d not in graph", u)}
+	}
+	return u <= v, u == v, nil
+}
+
 // startServer brings up a mux server on a loopback listener and
-// returns its address plus a shutdown func.
+// returns its address plus a shutdown func. A config without a single
+// handler gets echoSingle.
 func startServer(t *testing.T, cfg ServerConfig) (*Server, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cfg.Single == nil {
+		cfg.Single = echoSingle
 	}
 	s := NewServer(cfg)
 	go s.Serve(ln)
@@ -152,6 +166,54 @@ func TestMuxTracePropagation(t *testing.T) {
 	}
 }
 
+// TestMuxSingle: a single query travels as a single frame and comes
+// back with its answer and cached flag, a rejected one as an in-band
+// *Fail that leaves the connection serving, and its trace reaches the
+// handler like a batch's. One request frame and one response frame
+// cross per query.
+func TestMuxSingle(t *testing.T) {
+	var seen atomic.Value
+	single := func(ctx context.Context, trace string, u, v uint32) (bool, bool, error) {
+		seen.Store(trace)
+		return echoSingle(ctx, trace, u, v)
+	}
+	srv, addr := startServer(t, ServerConfig{Batch: echoBatch, Single: single})
+	cn, err := Dial(context.Background(), addr, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cn.Close()
+	ctx := context.Background()
+	for _, q := range [][2]uint32{{3, 9}, {9, 3}, {5, 5}} {
+		got, cached, err := cn.Single(ctx, q[0], q[1], "single-trace")
+		if err != nil {
+			t.Fatalf("Single(%d, %d): %v", q[0], q[1], err)
+		}
+		if got != (q[0] <= q[1]) || cached != (q[0] == q[1]) {
+			t.Fatalf("Single(%d, %d) = (%v, cached %v)", q[0], q[1], got, cached)
+		}
+	}
+	if got, _ := seen.Load().(string); got != "single-trace" {
+		t.Fatalf("single handler saw trace %q, want single-trace", got)
+	}
+	_, _, err = cn.Single(ctx, 0, 4, "")
+	var f *Fail
+	if !errors.As(err, &f) || f.Status != 400 || f.Msg != "vertex 0 not in graph" {
+		t.Fatalf("rejected single = %v, want Fail{400, vertex 0 not in graph}", err)
+	}
+	if cn.Dead() {
+		t.Fatal("conn marked dead after a single's in-band error frame")
+	}
+	// A one-pair batch is still a batch: echoBatch answers it.
+	out := make([]bool, 1)
+	if err := cn.Batch(ctx, [][2]uint32{{0, 4}}, out, ""); err != nil || !out[0] {
+		t.Fatalf("one-pair batch after the rejected single = %v, %v", out[0], err)
+	}
+	if rx, tx := srv.Traffic().FramesRx.Load(), srv.Traffic().FramesTx.Load(); rx != 5 || tx != 5 {
+		t.Fatalf("server frames rx=%d tx=%d after 4 singles and 1 batch, want 5 and 5", rx, tx)
+	}
+}
+
 func TestMuxFingerprintMismatch(t *testing.T) {
 	_, addr := startServer(t, ServerConfig{Batch: echoBatch, Fingerprint: "00000000deadbeef"})
 	_, err := Dial(context.Background(), addr, ClientConfig{Fingerprint: "ffffffff00000000"})
@@ -225,7 +287,7 @@ func TestMuxGracefulDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(ServerConfig{Batch: batch})
+	s := NewServer(ServerConfig{Batch: batch, Single: echoSingle})
 	go s.Serve(ln)
 	cn, err := Dial(context.Background(), ln.Addr().String(), ClientConfig{})
 	if err != nil {
@@ -279,7 +341,7 @@ func TestPoolReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	s1 := NewServer(ServerConfig{Batch: echoBatch})
+	s1 := NewServer(ServerConfig{Batch: echoBatch, Single: echoSingle})
 	go s1.Serve(ln)
 
 	p := NewPool(addr, 2, ClientConfig{})
@@ -305,7 +367,7 @@ func TestPoolReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := NewServer(ServerConfig{Batch: echoBatch})
+	s2 := NewServer(ServerConfig{Batch: echoBatch, Single: echoSingle})
 	go s2.Serve(ln2)
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -377,7 +439,7 @@ func TestPoolGetSharesDials(t *testing.T) {
 		t.Fatal(err)
 	}
 	hl := &holdListener{Listener: ln, accepted: make(chan struct{}, 1), release: make(chan struct{})}
-	s := NewServer(ServerConfig{Batch: echoBatch})
+	s := NewServer(ServerConfig{Batch: echoBatch, Single: echoSingle})
 	go s.Serve(hl)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -544,5 +606,18 @@ func TestMuxZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs > 0.1 {
 		t.Fatalf("steady-state Batch allocates %.2f times per op, want 0", allocs)
+	}
+	for range 100 {
+		if _, _, err := cn.Single(ctx, 3, 9, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs = testing.AllocsPerRun(300, func() {
+		if ok, cached, err := cn.Single(ctx, 3, 9, ""); err != nil || !ok || cached {
+			t.Fatal(ok, cached, err)
+		}
+	})
+	if allocs > 0.1 {
+		t.Fatalf("steady-state Single allocates %.2f times per op, want 0", allocs)
 	}
 }

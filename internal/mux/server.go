@@ -22,9 +22,16 @@ import (
 // any other error becomes a 500 (or 503 when ctx is done).
 type BatchFunc func(ctx context.Context, trace string, pairs [][2]uint32, out []bool) error
 
-// ServerConfig configures a mux Server. Batch is required.
+// SingleFunc answers one single query (a request frame flagged single):
+// whether u reaches v, and whether the server's cache supplied the
+// answer. Unlike a batch, a query the server rejects (an unknown
+// vertex) is a *Fail, sent in-band; other errors map as for BatchFunc.
+type SingleFunc func(ctx context.Context, trace string, u, v uint32) (reachable, cached bool, err error)
+
+// ServerConfig configures a mux Server. Batch and Single are required.
 type ServerConfig struct {
-	Batch BatchFunc
+	Batch  BatchFunc
+	Single SingleFunc
 
 	// Fingerprint is the snapshot fingerprint this server serves; a
 	// client handshake naming a different one is refused with an
@@ -35,7 +42,7 @@ type ServerConfig struct {
 	// with an in-band 413. Defaults to DefaultMaxBatchPairs.
 	MaxBatchPairs int
 
-	// Window bounds in-flight batches per connection; a client that
+	// Window bounds in-flight requests per connection; a client that
 	// pipelines past it is throttled by TCP backpressure, not errors.
 	// Defaults to DefaultWindow.
 	Window int
@@ -50,8 +57,9 @@ type ServerConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// Server accepts mux connections and answers batch frames over them.
-// Zero or one Serve loop per listener; Shutdown drains gracefully.
+// Server accepts mux connections and answers their request frames,
+// batches and single queries alike. Zero or one Serve loop per
+// listener; Shutdown drains gracefully.
 type Server struct {
 	cfg      ServerConfig
 	maxFrame int
@@ -68,8 +76,8 @@ type Server struct {
 // NewServer validates cfg, applies defaults and returns a Server ready
 // to Serve.
 func NewServer(cfg ServerConfig) *Server {
-	if cfg.Batch == nil {
-		panic("mux: ServerConfig.Batch is required")
+	if cfg.Batch == nil || cfg.Single == nil {
+		panic("mux: ServerConfig.Batch and ServerConfig.Single are required")
 	}
 	if cfg.MaxBatchPairs <= 0 {
 		cfg.MaxBatchPairs = DefaultMaxBatchPairs
@@ -181,7 +189,7 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// srvScratch is everything one in-flight batch needs, pooled so the
+// srvScratch is everything one in-flight request needs, pooled so the
 // steady state allocates nothing: buf holds envelope+frame in both
 // directions (a response frame never outgrows the request frame it
 // reuses), pairs/out are the decoded batch, trace the raw trace bytes.
@@ -404,7 +412,7 @@ func (sc *serverConn) reader() error {
 		}
 		sc.srv.traffic.FramesRx.Add(1)
 		sc.srv.traffic.BytesRx.Add(int64(wireproto.EnvelopeSize + traceLen + int(frameLen)))
-		// The window bounds in-flight batches: when it is full the
+		// The window bounds in-flight requests: when it is full the
 		// reader stops here and TCP backpressure throttles the peer.
 		select {
 		case sc.window <- struct{}{}:
@@ -417,8 +425,9 @@ func (sc *serverConn) reader() error {
 	}
 }
 
-// handle answers one request frame in place: the response (or error
-// frame) is staged back into w.buf behind a fresh envelope.
+// handle answers one request frame, a batch or a single query, in
+// place: the response (or error frame) is staged back into w.buf behind
+// a fresh envelope.
 func (sc *serverConn) handle(w *srvScratch) {
 	if w.oversize > 0 {
 		sc.fail(w, 413, "batch frame of "+strconv.FormatUint(uint64(w.oversize), 10)+
@@ -440,7 +449,13 @@ func (sc *serverConn) handle(w *srvScratch) {
 	}
 	w.out = w.out[:n]
 	wireproto.DecodeRequest(frame, w.pairs)
-	if err := sc.srv.cfg.Batch(sc.ctx, w.traceStr, w.pairs, w.out); err != nil {
+	single, cached := wireproto.IsSingle(frame), false
+	if single {
+		w.out[0], cached, err = sc.srv.cfg.Single(sc.ctx, w.traceStr, w.pairs[0][0], w.pairs[0][1])
+	} else {
+		err = sc.srv.cfg.Batch(sc.ctx, w.traceStr, w.pairs, w.out)
+	}
+	if err != nil {
 		var f *Fail
 		switch {
 		case errors.As(err, &f):
@@ -452,7 +467,12 @@ func (sc *serverConn) handle(w *srvScratch) {
 		}
 		return
 	}
-	m := wireproto.EncodeResponse(frame, w.out)
+	var m int
+	if single {
+		m = wireproto.EncodeSingleResponse(frame, w.out[0], cached)
+	} else {
+		m = wireproto.EncodeResponse(frame, w.out)
+	}
 	wireproto.PutEnvelope(w.buf, w.stream, 0, uint32(m))
 	w.n = wireproto.EnvelopeSize + m
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"math/rand/v2"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -130,5 +132,47 @@ func TestTraceHelpers(t *testing.T) {
 	})
 	if st != "cache;dur=1.500, probe;dur=0.042" {
 		t.Fatalf("server timing: %q", st)
+	}
+}
+
+// TestServerTimingMatchesFormatFloat pins FormatServerTiming's integer
+// formatting to the strconv.FormatFloat(ms, 'f', 3, 64) text it
+// replaced, on random durations of every magnitude, on exact
+// half-microsecond ties (where the two roundings can differ and the
+// float decides), and on the edges of the integer path.
+func TestServerTimingMatchesFormatFloat(t *testing.T) {
+	want := func(d time.Duration) string {
+		return "s;dur=" + strconv.FormatFloat(float64(d)/1e6, 'f', 3, 64)
+	}
+	check := func(d time.Duration) {
+		t.Helper()
+		if got := FormatServerTiming([]Stage{{Name: "s", D: d}}); got != want(d) {
+			t.Fatalf("duration %d ns: %q, FormatFloat writes %q", int64(d), got, want(d))
+		}
+	}
+	rng := rand.New(rand.NewPCG(19, 23))
+	for range 200000 {
+		check(time.Duration(rng.Int64N(int64(1) << rng.IntN(54))))
+	}
+	for range 20000 {
+		check(time.Duration(rng.Int64N(1<<40))/1000*1000 + 500)
+	}
+	for _, d := range []time.Duration{0, 1, 499, 500, 501, 999, 1000, 999_499, 999_500, 999_501,
+		1<<53 - 1, 1 << 53, 1<<62 + 500, -1, -500, -1501} {
+		check(d)
+	}
+	stages := []Stage{{"decode", 12_345}, {"resolve", 999}, {"cache", 0}, {"probe", 2_500}, {"total", 123_456_789}}
+	var b strings.Builder
+	for i, s := range stages {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(s.Name + ";dur=" + strconv.FormatFloat(float64(s.D)/1e6, 'f', 3, 64))
+	}
+	if got := FormatServerTiming(stages); got != b.String() {
+		t.Fatalf("five stages: %q, want %q", got, b.String())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { FormatServerTiming(stages) }); allocs > 1 {
+		t.Fatalf("FormatServerTiming allocates %.1f times, want the result string only", allocs)
 	}
 }

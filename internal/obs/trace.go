@@ -6,7 +6,6 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -72,14 +71,35 @@ type Stage struct {
 // microsecond precision — the resolution that matters for a
 // microsecond-query oracle.
 func FormatServerTiming(stages []Stage) string {
-	var b strings.Builder
+	var arr [128]byte
+	b := arr[:0]
 	for i, s := range stages {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		b.WriteString(s.Name)
-		b.WriteString(";dur=")
-		b.WriteString(strconv.FormatFloat(float64(s.D)/1e6, 'f', 3, 64))
+		b = append(b, s.Name...)
+		b = append(b, ";dur="...)
+		b = appendMillis(b, s.D)
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendMillis appends d in milliseconds with three decimals, byte for
+// byte what strconv.FormatFloat(float64(d)/1e6, 'f', 3, 64) writes, from
+// integer microseconds. Rounding the nanoseconds to the nearest
+// microsecond agrees with the float everywhere but an exact half
+// microsecond, where the quotient's binary rounding picks the side, so
+// a tie takes FormatFloat itself; so do negative durations and those of
+// 2^53 ns or more, where the quotient's error can reach a nanosecond.
+func appendMillis(b []byte, d time.Duration) []byte {
+	us, ns := d/1000, d%1000
+	if ns == 500 || d < 0 || d >= 1<<53 {
+		return strconv.AppendFloat(b, float64(d)/1e6, 'f', 3, 64)
+	}
+	if ns > 500 {
+		us++
+	}
+	b = strconv.AppendInt(b, int64(us/1000), 10)
+	frac := us % 1000
+	return append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }

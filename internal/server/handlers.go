@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/mux"
 	"repro/internal/obs"
 )
 
@@ -30,26 +31,29 @@ func (s *Server) startTrace(w http.ResponseWriter, r *http.Request) *reqTrace {
 }
 
 // finishTrace closes out a query request: sets the Server-Timing
-// breakdown header (before the body is written), records the request
-// histogram, and emits a slow-query record when the total crosses the
-// configured threshold. pairs/status describe the request's outcome.
+// breakdown header (before the body is written; w is nil on the stream
+// transport, which has no headers), records the request histogram, and
+// emits a slow-query record when the total crosses the configured
+// threshold. pairs/status describe the request's outcome.
 func (s *Server) finishTrace(w http.ResponseWriter, tr *reqTrace, hist *obs.Histogram, endpoint string, pairs int, status int) {
 	total := time.Since(tr.start)
 	cacheNs := tr.qt.cacheNs.Load()
 	probeNs := tr.qt.probeNs.Load()
-	stages := make([]obs.Stage, 0, 4)
-	if tr.decode > 0 {
-		stages = append(stages, obs.Stage{Name: "decode", D: tr.decode})
+	if w != nil {
+		stages := make([]obs.Stage, 0, 5)
+		if tr.decode > 0 {
+			stages = append(stages, obs.Stage{Name: "decode", D: tr.decode})
+		}
+		if tr.resolve > 0 {
+			stages = append(stages, obs.Stage{Name: "resolve", D: tr.resolve})
+		}
+		stages = append(stages,
+			obs.Stage{Name: "cache", D: time.Duration(cacheNs)},
+			obs.Stage{Name: "probe", D: time.Duration(probeNs)},
+			obs.Stage{Name: "total", D: total},
+		)
+		w.Header().Set(obs.ServerTimingHeader, obs.FormatServerTiming(stages))
 	}
-	if tr.resolve > 0 {
-		stages = append(stages, obs.Stage{Name: "resolve", D: tr.resolve})
-	}
-	stages = append(stages,
-		obs.Stage{Name: "cache", D: time.Duration(cacheNs)},
-		obs.Stage{Name: "probe", D: time.Duration(probeNs)},
-		obs.Stage{Name: "total", D: total},
-	)
-	w.Header().Set(obs.ServerTimingHeader, obs.FormatServerTiming(stages))
 	hist.RecordDuration(total)
 	if s.met.slow.Slow(total) {
 		rec := SlowQueryRecord{
@@ -128,51 +132,69 @@ func (s *Server) Handler() http.Handler {
 // to slow readers.
 const writeGrace = time.Second
 
-// guard is the overload-protection middleware: admission control first
-// (so a saturated server answers 429 in microseconds instead of
-// queueing), then the per-request deadline.
+// admit runs serve under the admission control every query request
+// takes, on either transport: a max-in-flight gate slot first (so a
+// saturated server answers 429 in microseconds instead of queueing),
+// then the RequestTimeout deadline on serve's context. A full gate
+// skips serve, counts the request as rejected (not as an error), and
+// returns the 429 to answer.
+func (s *Server) admit(ctx context.Context, serve func(context.Context)) *mux.Fail {
+	if s.gate != nil {
+		select {
+		case s.gate <- struct{}{}:
+			defer func() { <-s.gate }()
+		default:
+			s.met.rejected.Add(1)
+			return &mux.Fail{Status: http.StatusTooManyRequests,
+				Msg: fmt.Sprintf("server at max in-flight requests (%d); retry later", s.cfg.MaxInFlight)}
+		}
+	}
+	if s.cfg.RequestTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+		defer cancel()
+	}
+	serve(ctx)
+	return nil
+}
+
+// guard is the overload-protection middleware: admit, plus the socket
+// deadlines and Retry-After header only HTTP has.
 func (s *Server) guard(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.gate != nil {
-			select {
-			case s.gate <- struct{}{}:
-				defer func() { <-s.gate }()
-			default:
-				s.met.rejected.Add(1)
-				// Retry-After is a hint, not a promise: in-flight
-				// requests complete in well under a second unless the
-				// server is badly oversubscribed.
-				w.Header().Set("Retry-After", "1")
-				s.writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
-					Error: fmt.Sprintf("server at max in-flight requests (%d); retry later", s.cfg.MaxInFlight)})
-				return
+		f := s.admit(r.Context(), func(ctx context.Context) {
+			if s.cfg.RequestTimeout > 0 {
+				// One shared deadline bounds body reads and compute: a
+				// client that trickles its body must not hold its gate
+				// slot (and a handler goroutine) past the deadline while
+				// dec.Decode waits on the socket. The write deadline gets
+				// a grace period past the request deadline — it exists to
+				// bound a client that stops reading its response
+				// (conn.Write blocking forever on a full TCP send
+				// buffer), not to cut the 503/error body a just-expired
+				// request still owes. Set{Read,Write}Deadline can fail on
+				// exotic ResponseWriters; the context still bounds
+				// compute then. Neither deadline can leak onto later
+				// requests of a keep-alive connection: conn.serve resets
+				// the read deadline in readRequest and unconditionally
+				// clears the write deadline after each request (net/http
+				// server.go, Go 1.24);
+				// TestWriteDeadlineClearedBetweenRequests pins that.
+				deadline, _ := ctx.Deadline()
+				rc := http.NewResponseController(w)
+				_ = rc.SetReadDeadline(deadline)
+				_ = rc.SetWriteDeadline(deadline.Add(writeGrace))
+				r = r.WithContext(ctx)
 			}
+			h(w, r)
+		})
+		if f != nil {
+			// Retry-After is a hint, not a promise: in-flight requests
+			// complete in well under a second unless the server is
+			// badly oversubscribed.
+			w.Header().Set("Retry-After", "1")
+			s.writeFail(w, f)
 		}
-		if s.cfg.RequestTimeout > 0 {
-			// One shared deadline bounds body reads and compute: a
-			// client that trickles its body must not hold its gate slot
-			// (and a handler goroutine) past the deadline while
-			// dec.Decode waits on the socket. The write deadline gets a
-			// grace period past the request deadline — it exists to
-			// bound a client that stops reading its response (conn.Write
-			// blocking forever on a full TCP send buffer), not to cut
-			// the 503/error body a just-expired request still owes.
-			// Set{Read,Write}Deadline can fail on exotic
-			// ResponseWriters; the context still bounds compute then.
-			// Neither deadline can leak onto later requests of a
-			// keep-alive connection: conn.serve resets the read deadline
-			// in readRequest and unconditionally clears the write
-			// deadline after each request (net/http server.go, Go 1.24);
-			// TestWriteDeadlineClearedBetweenRequests pins that.
-			deadline := time.Now().Add(s.cfg.RequestTimeout)
-			rc := http.NewResponseController(w)
-			_ = rc.SetReadDeadline(deadline)
-			_ = rc.SetWriteDeadline(deadline.Add(writeGrace))
-			ctx, cancel := context.WithDeadline(r.Context(), deadline)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
-		h(w, r)
 	}
 }
 
@@ -187,12 +209,24 @@ func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...
 	s.writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// failTimeout reports a request abandoned because its context ended:
-// 503 so clients and load balancers read it as transient server
-// pressure.
+// writeFail answers a refusal on HTTP with its status and JSON body;
+// the stream transport sends the same *mux.Fail as an error frame.
+func (s *Server) writeFail(w http.ResponseWriter, f *mux.Fail) {
+	s.writeJSON(w, f.Status, ErrorResponse{Error: f.Msg})
+}
+
+// failTimeout reports a request abandoned because its context ended.
 func (s *Server) failTimeout(w http.ResponseWriter, r *http.Request, err error) {
-	s.countTimedOut(r.Context(), err)
-	s.fail(w, http.StatusServiceUnavailable, "request abandoned: %v", err)
+	s.writeFail(w, s.abandoned(r.Context(), err))
+}
+
+// abandoned is the 503 for a request whose context ended, so clients
+// and load balancers read it as transient server pressure, counted as
+// an error and, at its deadline, as timed out.
+func (s *Server) abandoned(ctx context.Context, err error) *mux.Fail {
+	s.countTimedOut(ctx, err)
+	s.met.errors.Add(1)
+	return &mux.Fail{Status: http.StatusServiceUnavailable, Msg: "request abandoned: " + err.Error()}
 }
 
 // countTimedOut bumps timed_out for a request abandoned with err when
@@ -214,16 +248,18 @@ func (s *Server) countTimedOut(ctx context.Context, err error) {
 	}
 }
 
-// failUnknownVertex is the 400 for an ID that names no vertex. The valid
-// ID space depends on the ID mode: dense mode accepts [0, N); original-ID
-// mode accepts exactly the edge-list file's IDs, which need not be dense,
-// so quoting the vertex count would mislead.
-func (s *Server) failUnknownVertex(w http.ResponseWriter, bad uint64) {
+// badVertex is the 400, counted as an error, for an ID that names no
+// vertex. The valid ID space depends on the ID mode: dense mode accepts
+// [0, N); original-ID mode accepts exactly the edge-list file's IDs,
+// which need not be dense, so quoting the vertex count would mislead.
+func (s *Server) badVertex(bad uint64) *mux.Fail {
+	s.met.errors.Add(1)
 	if s.denseOf != nil {
-		s.fail(w, http.StatusBadRequest, "vertex %d is not an original vertex ID of the served graph", bad)
-		return
+		return &mux.Fail{Status: http.StatusBadRequest,
+			Msg: fmt.Sprintf("vertex %d is not an original vertex ID of the served graph", bad)}
 	}
-	s.fail(w, http.StatusBadRequest, "vertex %d not in graph (valid IDs are 0..%d)", bad, s.g.NumVertices()-1)
+	return &mux.Fail{Status: http.StatusBadRequest,
+		Msg: fmt.Sprintf("vertex %d not in graph (valid IDs are 0..%d)", bad, s.g.NumVertices()-1)}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -254,6 +290,22 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "u and v must be non-negative integer query parameters")
 		return
 	}
+	ans, cached, f := s.single(r.Context(), tr, u, v)
+	if f != nil {
+		done(f.Status)
+		s.writeFail(w, f)
+		return
+	}
+	done(http.StatusOK)
+	s.writeJSON(w, http.StatusOK, ReachableResponse{
+		U: u, V: v, Reachable: ans, Cached: cached,
+	})
+}
+
+// single answers one /v1/reachable query for either transport: resolve
+// both IDs (an unknown one is a 400, not false), shed an expired
+// deadline, then the per-pair path. A refusal is already counted.
+func (s *Server) single(ctx context.Context, tr *reqTrace, u, v uint64) (ans, cached bool, f *mux.Fail) {
 	t0 := time.Now()
 	du, okU := s.resolve(u)
 	dv, okV := s.resolve(v)
@@ -263,23 +315,16 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 		if okU {
 			bad = v
 		}
-		done(http.StatusBadRequest)
-		s.failUnknownVertex(w, bad)
-		return
+		return false, false, s.badVertex(bad)
 	}
-	if err := r.Context().Err(); err != nil {
-		done(http.StatusServiceUnavailable)
-		s.failTimeout(w, r, err)
-		return
+	if err := ctx.Err(); err != nil {
+		return false, false, s.abandoned(ctx, err)
 	}
 	var cs chunkStats
-	ans, cached := s.reachable(du, dv, &cs)
+	ans, cached = s.reachable(du, dv, &cs)
 	s.met.recordChunk(&cs)
 	tr.qt.add(&cs)
-	done(http.StatusOK)
-	s.writeJSON(w, http.StatusOK, ReachableResponse{
-		U: u, V: v, Reachable: ans, Cached: cached,
-	})
+	return ans, cached, nil
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {

@@ -36,10 +36,10 @@ type metrics struct {
 	wireTxJSON     atomic.Int64
 
 	reg *obs.Registry
-	// Request-level histograms, one per query endpoint. reqMux is the
-	// batch endpoint served over the stream transport; its clock starts
-	// at batch-function entry (the transport decoded the frame already),
-	// the others at HTTP handler entry.
+	// Request-level histograms, one per query endpoint. reqReachable
+	// counts singles from either transport, reqMux batches over the
+	// stream transport. A frame's clock starts at handler-function entry
+	// (the transport decoded it already), HTTP's at handler entry.
 	reqReachable *obs.Histogram
 	reqBatch     *obs.Histogram
 	reqMux       *obs.Histogram

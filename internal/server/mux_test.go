@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -155,6 +157,28 @@ func TestBinaryBatchRejections(t *testing.T) {
 		<-s.gate
 		wantFail(t, err, http.StatusTooManyRequests, "max in-flight")
 	})
+	t.Run("full gate, single", func(t *testing.T) {
+		s.gate <- struct{}{}
+		_, _, err := cn.Single(ctx, 1, 2, "")
+		<-s.gate
+		wantFail(t, err, http.StatusTooManyRequests, "server at max in-flight requests (1); retry later")
+	})
+}
+
+// TestMuxSingleDeadline: a single whose RequestTimeout has passed by the
+// time it would be answered gets the 503 and timed-out count GET
+// /v1/reachable gives it.
+func TestMuxSingleDeadline(t *testing.T) {
+	s, _, cn := muxFixture(t, Config{RequestTimeout: time.Nanosecond})
+	_, _, err := cn.Single(context.Background(), 1, 2, "")
+	var f *mux.Fail
+	if !errors.As(err, &f) || f.Status != http.StatusServiceUnavailable ||
+		f.Msg != "request abandoned: context deadline exceeded" {
+		t.Fatalf("single past its deadline = %v, want in-band 503", err)
+	}
+	if st := s.Stats().Server; st.TimedOut != 1 || st.Errors != 1 || st.Queries != 0 {
+		t.Fatalf("timed_out=%d errors=%d queries=%d, want 1, 1 and 0", st.TimedOut, st.Errors, st.Queries)
+	}
 }
 
 // rawMux opens a stream-transport connection by hand and completes the
@@ -257,5 +281,83 @@ func TestWireMetrics(t *testing.T) {
 	}
 	if strings.Contains(page, `encoding="binary"`) {
 		t.Errorf("/metrics still carries a binary-over-HTTP series")
+	}
+}
+
+// TestMuxSingleAccounting: a single over the stream transport records
+// what the same query over GET /v1/reachable records — the
+// endpoint="reachable" request histogram, reach_queries_total, an error
+// on an unknown vertex's 400, and a slow-query record under endpoint
+// "reachable" with its trace — and no batch. The two queries go over
+// mux first, then over HTTP, and every counter moves by the same amount
+// both times.
+func TestMuxSingleAccounting(t *testing.T) {
+	var slow syncBuffer
+	s, _, cn := muxFixture(t, Config{SlowQueryThreshold: time.Nanosecond, SlowQueryWriter: &slow})
+	n := s.g.NumVertices()
+	h := s.Handler()
+	get := func(path string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		return w
+	}
+	wantMetrics := func(queries int) {
+		t.Helper()
+		page := get("/metrics").Body.String()
+		for _, want := range []string{
+			fmt.Sprintf(`reach_http_request_seconds_count{endpoint="reachable"} %d`, 2*queries),
+			fmt.Sprintf("reach_queries_total %d", queries),
+			fmt.Sprintf("reach_errors_total %d", queries),
+			"reach_batch_requests_total 0",
+		} {
+			if !strings.Contains(page, want) {
+				t.Errorf("/metrics after %d answered and %d refused singles lacks %q", queries, queries, want)
+			}
+		}
+	}
+	unknownMsg := fmt.Sprintf("vertex %d not in graph (valid IDs are 0..%d)", n+5, n-1)
+
+	ctx := context.Background()
+	if _, _, err := cn.Single(ctx, 3, 7, "mux-single-ok"); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := cn.Single(ctx, uint32(n+5), 7, "mux-single-bad")
+	var f *mux.Fail
+	if !errors.As(err, &f) || f.Status != http.StatusBadRequest || f.Msg != unknownMsg {
+		t.Fatalf("unknown vertex over mux = %v, want in-band 400 %q", err, unknownMsg)
+	}
+	wantMetrics(1)
+
+	if w := get("/v1/reachable?u=3&v=7"); w.Code != http.StatusOK {
+		t.Fatalf("HTTP single answered %d", w.Code)
+	}
+	if w := get(fmt.Sprintf("/v1/reachable?u=%d&v=7", n+5)); w.Code != http.StatusBadRequest ||
+		!strings.Contains(w.Body.String(), unknownMsg) {
+		t.Fatalf("HTTP unknown vertex answered %d %q", w.Code, w.Body.String())
+	}
+	wantMetrics(2)
+
+	var recs []SlowQueryRecord
+	for _, line := range strings.Split(strings.TrimSpace(slow.String()), "\n") {
+		var rec SlowQueryRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad slow-log line %q: %v", line, err)
+		}
+		recs = append(recs, rec)
+	}
+	if len(recs) != 4 {
+		t.Fatalf("%d slow records for 4 singles, want 4:\n%s", len(recs), slow.String())
+	}
+	for i, want := range []struct {
+		trace  string
+		status int
+	}{{"mux-single-ok", http.StatusOK}, {"mux-single-bad", http.StatusBadRequest}} {
+		if r := recs[i]; r.Endpoint != "reachable" || r.Trace != want.trace || r.Status != want.status || r.Pairs != 1 {
+			t.Errorf("mux single's slow record %+v, want endpoint reachable, trace %s, status %d, 1 pair",
+				r, want.trace, want.status)
+		}
+		if r := recs[i+2]; r.Endpoint != "reachable" || r.Status != want.status {
+			t.Errorf("HTTP single's slow record %+v, want endpoint reachable, status %d", r, want.status)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 // Package server is the reachd query-serving core: it wraps an immutable
 // reach.Oracle with a lock-free positive/negative query cache and a
 // worker pool for batch execution, and exposes both over a small
-// HTTP/JSON API (/v1/reachable, /v1/batch, /v1/stats, /v1/healthz).
+// HTTP/JSON API (/v1/reachable, /v1/batch, /v1/stats, /v1/healthz) and,
+// for fleet routers, over the stream transport (mux.go) with the same
+// query semantics.
 //
 // The layering mirrors O'Reach's observation that cheap caching/filter
 // frontends multiply the real-world throughput of a microsecond-query
@@ -71,7 +73,8 @@ type Config struct {
 	// MuxAddr is the host:port the replica's mux listener (the raw-TCP
 	// stream transport, internal/mux) is bound to; /v1/healthz advertises
 	// it, and fleet routers enroll only replicas that advertise one,
-	// because every router sub-batch whose IDs fit u32 travels there.
+	// because every router sub-batch and single query whose IDs fit u32
+	// travels there.
 	// Empty means no mux listener: the server then answers direct HTTP
 	// clients only. reachd binds the listener first and passes the
 	// resolved address, so what healthz advertises is always dialable.

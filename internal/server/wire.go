@@ -30,8 +30,8 @@ type HealthzResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds,omitempty"`
 	// Mux is the host:port of this replica's raw-TCP stream-transport
 	// listener (docs/WIRE.md, "Stream transport"). Fleet routers dial it
-	// and pipeline sub-batches over a few persistent connections; a
-	// replica without one is never enrolled in a fleet.
+	// and pipeline sub-batches and single queries over a few persistent
+	// connections; a replica without one is never enrolled in a fleet.
 	Mux string `json:"mux,omitempty"`
 }
 

@@ -107,6 +107,17 @@ func TestWireSpecInSync(t *testing.T) {
 		return EncodeRequest(buf, nil)
 	})
 
+	doc = check("request-single", make([]byte, RequestSize(1)), func(buf []byte) int {
+		return EncodeSingle(buf, 7, 2)
+	})
+	single := make([][2]uint32, 1)
+	if n, err := RequestCount(doc); err != nil || n != 1 || !IsSingle(doc) {
+		t.Fatalf("request-single: RequestCount = %d, %v; IsSingle = %v", n, err, IsSingle(doc))
+	}
+	if err := DecodeRequest(doc, single); err != nil || single[0] != [2]uint32{7, 2} {
+		t.Fatalf("request-single: decodes to %v (%v), spec documents u=7, v=2", single[0], err)
+	}
+
 	respResults := []bool{true, false, true}
 	doc = check("response", make([]byte, ResponseSize(3)), func(buf []byte) int {
 		return EncodeResponse(buf, respResults)
@@ -137,6 +148,17 @@ func TestWireSpecInSync(t *testing.T) {
 		if got65[i] != multi[i] {
 			t.Fatalf("response-multiword: result %d decodes to %v, spec documents %v", i, got65[i], multi[i])
 		}
+	}
+
+	doc = check("response-cached", make([]byte, ResponseSize(1)), func(buf []byte) int {
+		return EncodeSingleResponse(buf, true, true)
+	})
+	got1 := make([]bool, 1)
+	if n, err := ResponseCount(doc); err != nil || n != 1 || !IsCached(doc) {
+		t.Fatalf("response-cached: ResponseCount = %d, %v; IsCached = %v", n, err, IsCached(doc))
+	}
+	if err := DecodeResponse(doc, got1); err != nil || !got1[0] {
+		t.Fatalf("response-cached: decodes to %v (%v), spec documents true", got1[0], err)
 	}
 
 	const errStatus, errMsg = 429, "replica overloaded"

@@ -1,7 +1,8 @@
-// Package wireproto is the binary batch protocol spoken between the
+// Package wireproto is the binary query protocol spoken between the
 // fleet router and reachd replicas over the stream transport
-// (internal/mux): length-prefixed frames of fixed-width little-endian
-// integers — the blockio snapshot idiom applied to the wire. A 512-pair
+// (internal/mux), for batches and single queries alike: length-prefixed
+// frames of fixed-width little-endian integers — the blockio snapshot
+// idiom applied to the wire. A 512-pair
 // request is 4108 bytes instead of ~7 KB of JSON, and neither side
 // allocates to encode or decode it.
 //
@@ -69,8 +70,18 @@ const (
 	// plus the snapshot fingerprint (see stream.go and docs/WIRE.md).
 	FlagHandshake uint32 = 1 << 1
 
+	// FlagSingle marks a request frame carrying one single query, not a
+	// one-pair batch: count must be 1, and the server answers a query it
+	// rejects (an unknown vertex) with an error frame, as GET
+	// /v1/reachable answers 400, instead of false.
+	FlagSingle uint32 = 1 << 2
+
+	// FlagCached marks the one-result response to a single request whose
+	// answer came from the server's query cache; count must be 1.
+	FlagCached uint32 = 1 << 3
+
 	// knownFlags masks the flag bits this Version defines.
-	knownFlags = FlagError | FlagHandshake
+	knownFlags = FlagError | FlagHandshake | FlagSingle | FlagCached
 )
 
 // Magic is the 3-byte frame signature: ASCII "RWB" (reach wire batch).
@@ -87,7 +98,8 @@ var (
 	ErrVersion = errors.New("wireproto: unsupported frame version")
 	// ErrFlags: the flags field has bits set that this version does not define.
 	ErrFlags = errors.New("wireproto: unknown flag bits set")
-	// ErrCount: the count field exceeds MaxCount.
+	// ErrCount: the count field exceeds MaxCount, or is not 1 on a
+	// FlagSingle or FlagCached frame.
 	ErrCount = errors.New("wireproto: frame count out of range")
 	// ErrLength: the frame's byte length disagrees with its count field.
 	ErrLength = errors.New("wireproto: frame length disagrees with count")
@@ -118,9 +130,10 @@ type Header struct {
 }
 
 // ParseHeader validates the shared frame prefix and returns it. It
-// checks magic, version, flag bits and the count bound — everything
-// except the kind-specific length arithmetic, which RequestCount,
-// ResponseCount and DecodeError add.
+// checks magic, version, flag bits and the count bounds (a FlagSingle
+// or FlagCached frame carries exactly one pair or result) — everything
+// except the kind-specific flag and length checks, which RequestCount,
+// ResponseCount, DecodeError and DecodeHandshake add.
 func ParseHeader(frame []byte) (Header, error) {
 	var h Header
 	if len(frame) < HeaderSize {
@@ -139,7 +152,7 @@ func ParseHeader(frame []byte) (Header, error) {
 	if h.Flags&^uint32(knownFlags) != 0 {
 		return h, ErrFlags
 	}
-	if h.Count > MaxCount {
+	if h.Count > MaxCount || (h.Flags&(FlagSingle|FlagCached) != 0 && h.Count != 1) {
 		return h, ErrCount
 	}
 	return h, nil
@@ -185,15 +198,28 @@ func EncodeRequest(buf []byte, pairs [][2]uint32) int {
 	return off
 }
 
-// RequestCount fully validates frame as a request and returns its pair
-// count. After it succeeds, DecodeRequest into a slice of exactly that
-// length cannot fail.
+// EncodeSingle writes a single-query request frame for (u, v) into buf
+// and returns the frame length, RequestSize(1): one pair, flagged
+// FlagSingle.
+//
+//reach:hotpath
+func EncodeSingle(buf []byte, u, v uint32) int {
+	putHeader(buf, FlagSingle, 1)
+	binary.LittleEndian.PutUint32(buf[HeaderSize:], u)
+	binary.LittleEndian.PutUint32(buf[HeaderSize+4:], v)
+	return RequestSize(1)
+}
+
+// RequestCount fully validates frame as a request, a batch or a single
+// query (IsSingle tells which), and returns its pair count. After it
+// succeeds, DecodeRequest into a slice of exactly that length cannot
+// fail.
 func RequestCount(frame []byte) (int, error) {
 	h, err := ParseHeader(frame)
 	if err != nil {
 		return 0, err
 	}
-	if h.Flags != 0 {
+	if h.Flags != 0 && h.Flags != FlagSingle {
 		return 0, ErrFrameKind
 	}
 	if len(frame) != RequestSize(int(h.Count)) {
@@ -250,17 +276,38 @@ func EncodeResponse(buf []byte, results []bool) int {
 	return off
 }
 
-// ResponseCount fully validates frame as a response and returns its
-// result count. Padding bits past the count in the final word must be
-// zero — a frame violating that is corrupt, not merely sloppy, because
-// encoders never produce it. After ResponseCount succeeds,
-// DecodeResponse into a slice of exactly that length cannot fail.
+// EncodeSingleResponse writes the one-result response to a single
+// request into buf and returns the frame length, ResponseSize(1).
+// cached sets FlagCached; without it the frame is exactly what
+// EncodeResponse writes for one result.
+//
+//reach:hotpath
+func EncodeSingleResponse(buf []byte, reachable, cached bool) int {
+	var flags uint32
+	if cached {
+		flags = FlagCached
+	}
+	putHeader(buf, flags, 1)
+	var word uint64
+	if reachable {
+		word = 1
+	}
+	binary.LittleEndian.PutUint64(buf[HeaderSize:], word)
+	return ResponseSize(1)
+}
+
+// ResponseCount fully validates frame as a response (IsCached reads its
+// cache flag) and returns its result count. Padding bits past the count
+// in the final word must be zero — a frame violating that is corrupt,
+// not merely sloppy, because encoders never produce it. After
+// ResponseCount succeeds, DecodeResponse into a slice of exactly that
+// length cannot fail.
 func ResponseCount(frame []byte) (int, error) {
 	h, err := ParseHeader(frame)
 	if err != nil {
 		return 0, err
 	}
-	if h.Flags != 0 {
+	if h.Flags != 0 && h.Flags != FlagCached {
 		return 0, ErrFrameKind
 	}
 	n := int(h.Count)
@@ -303,6 +350,23 @@ func DecodeResponse(frame []byte, results []bool) error {
 		word >>= 1
 	}
 	return nil
+}
+
+// IsSingle reports whether frame, a request RequestCount accepted, is a
+// single query (FlagSingle).
+//
+//reach:hotpath
+func IsSingle(frame []byte) bool { return hasFlag(frame, FlagSingle) }
+
+// IsCached reports whether frame, a response ResponseCount accepted,
+// answers a single query from the server's cache (FlagCached).
+//
+//reach:hotpath
+func IsCached(frame []byte) bool { return hasFlag(frame, FlagCached) }
+
+//reach:hotpath
+func hasFlag(frame []byte, flag uint32) bool {
+	return len(frame) >= HeaderSize && binary.LittleEndian.Uint32(frame[4:8])&flag != 0
 }
 
 // EncodeError writes an error frame into buf and returns the frame

@@ -130,10 +130,90 @@ func TestParseHeaderRejections(t *testing.T) {
 		{"count too large", mutate(func(b []byte) {
 			binary.LittleEndian.PutUint32(b[8:12], MaxCount+1)
 		}), ErrCount},
+		{"single with 2 pairs", mutate(func(b []byte) { b[4] = byte(FlagSingle) }), ErrCount},
+		{"cached with 2 results", mutate(func(b []byte) { b[4] = byte(FlagCached) }), ErrCount},
+		{"single with 0 pairs", mutate(func(b []byte) {
+			b[4] = byte(FlagSingle)
+			binary.LittleEndian.PutUint32(b[8:12], 0)
+		}), ErrCount},
 	}
 	for _, tc := range cases {
 		if _, err := ParseHeader(tc.frame); !errors.Is(err, tc.want) {
 			t.Errorf("%s: ParseHeader = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestSingleAndCachedFrames: a single request and a cached response
+// round-trip, and every decoder refuses the two flags where they do not
+// belong: cached on a request, single on a response, and either one
+// beside the error or handshake bit.
+func TestSingleAndCachedFrames(t *testing.T) {
+	single := make([]byte, RequestSize(1))
+	if n := EncodeSingle(single, 9, 4); n != len(single) {
+		t.Fatalf("EncodeSingle wrote %d bytes, want %d", n, len(single))
+	}
+	if n, err := RequestCount(single); err != nil || n != 1 || !IsSingle(single) {
+		t.Fatalf("single request: RequestCount = %d, %v; IsSingle = %v", n, err, IsSingle(single))
+	}
+	pair := make([][2]uint32, 1)
+	if err := DecodeRequest(single, pair); err != nil || pair[0] != [2]uint32{9, 4} {
+		t.Fatalf("single request decodes to %v, %v", pair, err)
+	}
+	batch := make([]byte, RequestSize(1))
+	EncodeRequest(batch, pair)
+	if IsSingle(batch) {
+		t.Fatal("IsSingle = true on a one-pair batch")
+	}
+
+	for _, reachable := range []bool{false, true} {
+		plain := make([]byte, ResponseSize(1))
+		EncodeResponse(plain, []bool{reachable})
+		uncached := make([]byte, ResponseSize(1))
+		EncodeSingleResponse(uncached, reachable, false)
+		if !bytes.Equal(plain, uncached) || IsCached(uncached) {
+			t.Fatalf("uncached single response % x, want EncodeResponse's % x", uncached, plain)
+		}
+		cached := make([]byte, ResponseSize(1))
+		EncodeSingleResponse(cached, reachable, true)
+		got := make([]bool, 1)
+		if n, err := ResponseCount(cached); err != nil || n != 1 || !IsCached(cached) {
+			t.Fatalf("cached response: ResponseCount = %d, %v; IsCached = %v", n, err, IsCached(cached))
+		}
+		if err := DecodeResponse(cached, got); err != nil || got[0] != reachable {
+			t.Fatalf("cached response decodes to %v, %v; want %v", got[0], err, reachable)
+		}
+	}
+
+	withFlags := func(frame []byte, flags uint32) []byte {
+		b := bytes.Clone(frame)
+		binary.LittleEndian.PutUint32(b[4:8], flags)
+		return b
+	}
+	resp := make([]byte, ResponseSize(1))
+	EncodeSingleResponse(resp, true, true)
+	if _, err := RequestCount(withFlags(single, FlagCached)); err != ErrFrameKind {
+		t.Errorf("cached request: RequestCount = %v, want ErrFrameKind", err)
+	}
+	if _, err := ResponseCount(withFlags(resp, FlagSingle)); err != ErrFrameKind {
+		t.Errorf("single response: ResponseCount = %v, want ErrFrameKind", err)
+	}
+	for _, flag := range []uint32{FlagSingle, FlagCached} {
+		for _, kind := range []uint32{FlagError, FlagHandshake, FlagSingle | FlagCached} {
+			for _, frame := range [][]byte{withFlags(single, flag|kind), withFlags(resp, flag|kind)} {
+				if _, err := RequestCount(frame); err == nil {
+					t.Errorf("flags %#x: RequestCount accepted it", flag|kind)
+				}
+				if _, err := ResponseCount(frame); err == nil {
+					t.Errorf("flags %#x: ResponseCount accepted it", flag|kind)
+				}
+				if _, _, err := DecodeError(frame); err == nil {
+					t.Errorf("flags %#x: DecodeError accepted it", flag|kind)
+				}
+				if _, _, err := DecodeHandshake(frame); err == nil {
+					t.Errorf("flags %#x: DecodeHandshake accepted it", flag|kind)
+				}
+			}
 		}
 	}
 }
@@ -204,6 +284,27 @@ func TestCodecZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := DecodeResponse(respBuf, decResults); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	single := reqBuf[:RequestSize(1)]
+	cached := respBuf[:ResponseSize(1)]
+	pin("EncodeSingle", func() { EncodeSingle(single, 3, 9) })
+	pin("DecodeSingle", func() {
+		if n, err := RequestCount(single); err != nil || n != 1 || !IsSingle(single) {
+			t.Fatal(n, err)
+		}
+		if err := DecodeRequest(single, decPairs[:1]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	pin("EncodeSingleResponse", func() { EncodeSingleResponse(cached, true, true) })
+	pin("DecodeCachedResponse", func() {
+		if n, err := ResponseCount(cached); err != nil || n != 1 || !IsCached(cached) {
+			t.Fatal(n, err)
+		}
+		if err := DecodeResponse(cached, decResults[:1]); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Cluster E2E: prove that a 3-replica reachd fleet behind reachrouter
 # answers a query sweep exactly like single-node reachcli — including
-# while one replica is SIGKILLed mid-sweep (the failover path), and on a
-# full scatter-gathered batch while the fleet is degraded.
+# while one replica is SIGKILLed mid-sweep (the failover path of single
+# queries, which travel as single frames over the mux streams), and on
+# a full scatter-gathered batch while the fleet is degraded.
 #
 # Run from the repo root:  ./scripts/cluster_e2e.sh
 # CI runs this as the cluster-e2e job.
@@ -105,7 +106,7 @@ done
   || { echo "replicas' endpoint=\"mux\" latency histograms counted $muxreqs sub-batches, want >= 3"; exit 1; }
 echo "   router sent the sub-batches as mux frames; replicas received $rx, timed $muxreqs"
 
-echo "== sweep through the router, SIGKILLing replica :${REPLICA_PORTS[0]} at query 120"
+echo "== sweep through the router (single frames over mux), SIGKILLing replica :${REPLICA_PORTS[0]} at query 120"
 : > "$WORK/got.txt"
 n=0
 while read -r u v; do
@@ -159,21 +160,22 @@ grep -q 'reach_router_failovers_total' "$WORK/router_metrics.txt" \
   || { echo "router missing failover counter"; exit 1; }
 grep -q 'reach_router_replicas_healthy 2' "$WORK/router_metrics.txt" \
   || { echo "router healthy-replica gauge != 2"; exit 1; }
-# Every sweep ID fits u32, so every interior sub-batch must have left as
-# a mux frame and not one as JSON: at least one frame each way per batch
-# round.
+# Every sweep ID fits u32, so every single query and every interior
+# sub-batch must have left as a mux frame and not one as JSON: at least
+# one frame each way per single (240) and per batch round (6), and more
+# where a batch scattered or a request was retried past the kill.
 grep -Eq '^reach_wire_frames_total\{encoding="json"\} 0$' "$WORK/router_metrics.txt" \
   || { echo "router sent JSON sub-batches for u32 IDs"; grep reach_wire "$WORK/router_metrics.txt"; exit 1; }
 tx=$(sed -nE 's/^reach_mux_frames_total\{direction="tx"\} ([0-9]+)$/\1/p' "$WORK/router_metrics.txt")
 rx=$(sed -nE 's/^reach_mux_frames_total\{direction="rx"\} ([0-9]+)$/\1/p' "$WORK/router_metrics.txt")
-[ "${tx:-0}" -ge 6 ] && [ "${rx:-0}" -ge 6 ] \
-  || { echo "router mux frames tx=${tx:-?} rx=${rx:-?}, want >= 6 each (one per batch round at least)"; exit 1; }
+[ "${tx:-0}" -ge 246 ] && [ "${rx:-0}" -ge 246 ] \
+  || { echo "router mux frames tx=${tx:-?} rx=${rx:-?}, want >= 246 each (240 singles + 6 batch rounds)"; exit 1; }
 # The dead replica's connections are gone: at most the pools of the two
 # survivors (2 connections each) remain open.
 conns=$(sed -nE 's/^reach_mux_conns ([0-9]+)$/\1/p' "$WORK/router_metrics.txt")
 [ "${conns:-0}" -ge 1 ] && [ "${conns:-0}" -le 4 ] \
   || { echo "router holds ${conns:-?} mux connections, want 1-4 to the 2 survivors"; exit 1; }
-echo "   router metrics: 240 reachable + 6 batch samples, all sub-batches as mux frames (tx=$tx rx=$rx)"
+echo "   router metrics: 240 reachable + 6 batch samples, all singles and sub-batches as mux frames (tx=$tx rx=$rx)"
 
 echo "== /metrics on a surviving replica: per-stage histograms must exist"
 REPLICA_METRICS="http://127.0.0.1:${REPLICA_PORTS[1]}/metrics"
