@@ -25,7 +25,8 @@
 // A replica enrolls only once a probe has completed a stream handshake
 // with it; a connection that dies under a request costs one retry on
 // another connection, then the replica is ejected and the request
-// fails over.
+// fails over. So does an attempt that outlives -upstream-timeout, over
+// either transport.
 //
 // The router serves the same v1 API as a single reachd — /v1/healthz,
 // /v1/reachable, /v1/batch, /v1/stats, /metrics — so clients point at
@@ -69,7 +70,7 @@ func main() {
 		attempts   = flag.Int("attempts", fleet.DefaultMaxAttempts, "distinct replicas to try per query or sub-batch")
 		minSub     = flag.Int("min-subbatch", fleet.DefaultMinSubBatch, "smallest sub-batch worth sending a replica; a batch fans out only when it holds at least twice this many pairs")
 		maxBatch   = flag.Int("max-batch", fleet.DefaultMaxBatchPairs, "max pairs per /v1/batch request")
-		upstreamTO = flag.Duration("upstream-timeout", 30*time.Second, "per-request timeout toward a replica (0 = none)")
+		upstreamTO = flag.Duration("upstream-timeout", 30*time.Second, "bound on each routed attempt on one replica, over mux or HTTP; an attempt that outlives it ejects the replica and fails over (0 = none)")
 		slowTO     = flag.Duration("slow-query-log", 0, "log routed requests slower than this as JSON lines on stderr (0 disables)")
 		pprof      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	)

@@ -5,18 +5,17 @@
 // views of the mapping — loading a multi-gigabyte hop labeling then costs
 // one mmap call plus O(#blocks) header reads, not a pass over the data.
 //
-// A Reader has two backends: slice-backed (an mmap'd file or any in-memory
-// buffer), which aliases block payloads when the host is little-endian and
-// the payload is suitably aligned, and stream-backed (any io.Reader),
-// which copies. Both are fully bounds-checked: truncated or corrupted
-// input yields errors, never panics or unbounded allocations.
+// A Reader decodes from one byte slice (an mmap'd file or any in-memory
+// buffer) and aliases block payloads when the host is little-endian and
+// the payload is suitably aligned. Every length is checked against the
+// bytes actually present before it is used: truncated or corrupted input
+// yields errors, never panics or unbounded allocations.
 package blockio
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"unsafe"
 )
 
@@ -28,9 +27,9 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// maxBlockElems bounds any single block's element count; it exists so a
-// corrupted length prefix on a stream (whose true size is unknowable)
-// cannot demand an absurd allocation in one step.
+// maxBlockElems bounds any single block's element count, so a corrupted
+// length prefix cannot overflow the byte-length arithmetic (count times
+// element width) before that length is checked against the buffer.
 const maxBlockElems = 1 << 34
 
 // Writer emits aligned little-endian blocks to an io.Writer, tracking the
@@ -48,9 +47,6 @@ func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
 // Err returns the first write error, or nil.
 func (w *Writer) Err() error { return w.err }
-
-// Offset returns the number of bytes written so far.
-func (w *Writer) Offset() int64 { return w.off }
 
 func (w *Writer) writeRaw(p []byte) {
 	if w.err != nil {
@@ -153,60 +149,36 @@ func (w *Writer) Int64s(a []int64) {
 	}
 }
 
-// Reader decodes blocks written by Writer. Exactly one of data / r is the
-// backend. Slice-backed readers return zero-copy views of the backing
-// array where safe; stream-backed readers copy.
+// Reader decodes blocks written by Writer from an in-memory (or mmap'd)
+// buffer, returning zero-copy views of it where safe.
 type Reader struct {
 	data []byte
 	off  int
-	r    io.Reader
-	read int64 // bytes consumed from r, for alignment tracking
 }
 
 // NewSliceReader returns a Reader over an in-memory (or mmap'd) buffer.
 // Blocks handed out may alias data; the buffer must outlive all views.
 func NewSliceReader(data []byte) *Reader { return &Reader{data: data} }
 
-// NewStreamReader returns a copying Reader over r.
-func NewStreamReader(r io.Reader) *Reader { return &Reader{r: r} }
-
 // ZeroCopy reports whether this reader can alias its backing buffer.
-func (r *Reader) ZeroCopy() bool { return r.data != nil && hostLittleEndian }
+func (r *Reader) ZeroCopy() bool { return hostLittleEndian }
 
-// Remaining returns the unread byte count for slice-backed readers, -1 for
-// streams.
-func (r *Reader) Remaining() int {
-	if r.data == nil {
-		return -1
-	}
-	return len(r.data) - r.off
-}
+// Remaining returns the unread byte count.
+func (r *Reader) Remaining() int { return len(r.data) - r.off }
 
-// take consumes n raw bytes and returns them (aliased in slice mode).
+// take consumes n raw bytes and returns them, aliased.
 func (r *Reader) take(n int) ([]byte, error) {
-	if r.data != nil {
-		if n > len(r.data)-r.off {
-			return nil, fmt.Errorf("blockio: truncated input: need %d bytes at offset %d of %d", n, r.off, len(r.data))
-		}
-		p := r.data[r.off : r.off+n]
-		r.off += n
-		return p, nil
+	if n > len(r.data)-r.off {
+		return nil, fmt.Errorf("blockio: truncated input: need %d bytes at offset %d of %d", n, r.off, len(r.data))
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.r, buf); err != nil {
-		return nil, fmt.Errorf("blockio: truncated input: %w", err)
-	}
-	r.read += int64(n)
-	return buf, nil
+	p := r.data[r.off : r.off+n]
+	r.off += n
+	return p, nil
 }
 
 // skipPad consumes alignment padding after a block body.
 func (r *Reader) skipPad() error {
-	pos := int64(r.off)
-	if r.data == nil {
-		pos = r.read
-	}
-	if rem := int(pos & 7); rem != 0 {
+	if rem := r.off & 7; rem != 0 {
 		_, err := r.take(8 - rem)
 		return err
 	}
@@ -222,8 +194,8 @@ func (r *Reader) Uint64() (uint64, error) {
 	return binary.LittleEndian.Uint64(p), nil
 }
 
-// blockLen reads and sanity-checks a block's element count against the
-// element width and, in slice mode, the bytes actually present.
+// blockLen reads a block's element count and checks it, times the
+// element width, against the bytes actually present.
 func (r *Reader) blockLen(elemSize int) (int, error) {
 	n, err := r.Uint64()
 	if err != nil {
@@ -233,46 +205,23 @@ func (r *Reader) blockLen(elemSize int) (int, error) {
 		return 0, fmt.Errorf("blockio: implausible block length %d", n)
 	}
 	byteLen := n * uint64(elemSize)
-	if byteLen > math.MaxInt {
-		return 0, fmt.Errorf("blockio: block length %d overflows", n)
-	}
-	if r.data != nil && int(byteLen) > len(r.data)-r.off {
+	if byteLen > uint64(len(r.data)-r.off) {
 		return 0, fmt.Errorf("blockio: truncated input: block of %d bytes at offset %d of %d", byteLen, r.off, len(r.data))
 	}
 	return int(n), nil
 }
 
-// Bytes reads a byte block. Slice-backed readers alias the backing array.
+// Bytes reads a byte block, aliasing the backing array.
 func (r *Reader) Bytes() ([]byte, error) {
 	n, err := r.blockLen(1)
 	if err != nil {
 		return nil, err
 	}
-	p, err := r.takeStream(n, 1)
+	p, err := r.take(n)
 	if err != nil {
 		return nil, err
 	}
 	return p, r.skipPad()
-}
-
-// takeStream consumes n*elemSize bytes, growing incrementally in stream
-// mode so a corrupt length cannot force one huge allocation up front.
-func (r *Reader) takeStream(n, elemSize int) ([]byte, error) {
-	if r.data != nil {
-		return r.take(n * elemSize)
-	}
-	total := n * elemSize
-	const step = 1 << 20
-	buf := make([]byte, 0, min(total, step))
-	for len(buf) < total {
-		chunk := min(total-len(buf), step)
-		part, err := r.take(chunk)
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, part...)
-	}
-	return buf, nil
 }
 
 // String reads a string block (always copied — strings are immutable).
@@ -290,8 +239,8 @@ func aligned4(p []byte) bool { return uintptr(unsafe.Pointer(&p[0]))&3 == 0 }
 // aligned8 reports whether p's base is 8-byte aligned.
 func aligned8(p []byte) bool { return uintptr(unsafe.Pointer(&p[0]))&7 == 0 }
 
-// Uint32s reads a []uint32 block. Slice-backed little-endian readers
-// return a zero-copy view of the backing buffer.
+// Uint32s reads a []uint32 block. On a little-endian host it returns a
+// zero-copy view of the backing buffer.
 func (r *Reader) Uint32s() ([]uint32, error) {
 	n, err := r.blockLen(4)
 	if err != nil {
@@ -300,7 +249,7 @@ func (r *Reader) Uint32s() ([]uint32, error) {
 	if n == 0 {
 		return nil, r.skipPad()
 	}
-	p, err := r.takeStream(n, 4)
+	p, err := r.take(n * 4)
 	if err != nil {
 		return nil, err
 	}
@@ -331,8 +280,8 @@ func (r *Reader) Int32s() ([]int32, error) {
 	return unsafe.Slice((*int32)(unsafe.Pointer(&u[0])), len(u)), nil
 }
 
-// Uint64s reads a []uint64 block. Slice-backed little-endian readers
-// return a zero-copy view when the payload is 8-byte aligned.
+// Uint64s reads a []uint64 block. On a little-endian host it returns a
+// zero-copy view when the payload is 8-byte aligned.
 func (r *Reader) Uint64s() ([]uint64, error) {
 	n, err := r.blockLen(8)
 	if err != nil {
@@ -341,7 +290,7 @@ func (r *Reader) Uint64s() ([]uint64, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	p, err := r.takeStream(n, 8)
+	p, err := r.take(n * 8)
 	if err != nil {
 		return nil, err
 	}

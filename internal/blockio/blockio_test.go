@@ -58,10 +58,6 @@ func TestRoundTripSlice(t *testing.T) {
 	checkAll(t, NewSliceReader(writeAll(t)))
 }
 
-func TestRoundTripStream(t *testing.T) {
-	checkAll(t, NewStreamReader(bytes.NewReader(writeAll(t))))
-}
-
 func TestRoundTripMmap(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "blocks.bin")
 	if err := os.WriteFile(path, writeAll(t), 0o644); err != nil {
@@ -102,36 +98,31 @@ func TestZeroCopyAliasing(t *testing.T) {
 	}
 }
 
-// TestTruncationEverywhere chops the valid stream at every byte offset and
-// requires an error (never a panic) from both backends.
+// TestTruncationEverywhere chops the valid buffer at every byte offset
+// and requires an error (never a panic).
 func TestTruncationEverywhere(t *testing.T) {
 	full := writeAll(t)
 	for cut := 0; cut < len(full); cut++ {
-		for _, mk := range []func([]byte) *Reader{
-			func(b []byte) *Reader { return NewSliceReader(b) },
-			func(b []byte) *Reader { return NewStreamReader(bytes.NewReader(b)) },
-		} {
-			r := mk(full[:cut])
-			sawErr := false
-			steps := []func() error{
-				func() error { _, err := r.Uint64(); return err },
-				func() error { _, err := r.String(); return err },
-				func() error { _, err := r.Uint32s(); return err },
-				func() error { _, err := r.Int32s(); return err },
-				func() error { _, err := r.Uint64s(); return err },
-				func() error { _, err := r.Int64s(); return err },
-				func() error { _, err := r.Uint32s(); return err },
-				func() error { _, err := r.Uint64(); return err },
+		r := NewSliceReader(full[:cut])
+		sawErr := false
+		steps := []func() error{
+			func() error { _, err := r.Uint64(); return err },
+			func() error { _, err := r.String(); return err },
+			func() error { _, err := r.Uint32s(); return err },
+			func() error { _, err := r.Int32s(); return err },
+			func() error { _, err := r.Uint64s(); return err },
+			func() error { _, err := r.Int64s(); return err },
+			func() error { _, err := r.Uint32s(); return err },
+			func() error { _, err := r.Uint64(); return err },
+		}
+		for _, step := range steps {
+			if err := step(); err != nil {
+				sawErr = true
+				break
 			}
-			for _, step := range steps {
-				if err := step(); err != nil {
-					sawErr = true
-					break
-				}
-			}
-			if !sawErr {
-				t.Fatalf("cut=%d decoded fully without error", cut)
-			}
+		}
+		if !sawErr {
+			t.Fatalf("cut=%d decoded fully without error", cut)
 		}
 	}
 }
@@ -143,9 +134,5 @@ func TestImplausibleLengthRejected(t *testing.T) {
 	r := NewSliceReader(buf.Bytes())
 	if _, err := r.Uint32s(); err == nil {
 		t.Fatal("accepted absurd block length")
-	}
-	r2 := NewStreamReader(bytes.NewReader(buf.Bytes()))
-	if _, err := r2.Uint32s(); err == nil {
-		t.Fatal("stream accepted absurd block length")
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/mux"
 	"repro/internal/obs"
@@ -57,10 +56,10 @@ type Client struct {
 }
 
 // NewClient returns a client for the replica at base (e.g.
-// "http://10.0.0.3:8080"). timeout bounds each HTTP request end-to-end;
-// zero means no timeout. Queries whose IDs fit u32 need UseMux first.
-func NewClient(base string, timeout time.Duration) *Client {
-	return &Client{base: base, hc: &http.Client{Timeout: timeout}, counters: &wireCounters{}}
+// "http://10.0.0.3:8080"). Each call is bounded by its context alone.
+// Queries whose IDs fit u32 need UseMux first.
+func NewClient(base string) *Client {
+	return &Client{base: base, hc: &http.Client{}, counters: &wireCounters{}}
 }
 
 // errNoMux: the replica advertises no stream-transport listener (or
@@ -109,9 +108,6 @@ func (c *Client) MuxOpenConns() int {
 	}
 	return 0
 }
-
-// Base returns the replica's base URL.
-func (c *Client) Base() string { return c.base }
 
 // StatusError is a non-2xx reply from a replica. The router decides per
 // status what to do: 429 and 5xx are retryable on another replica, other

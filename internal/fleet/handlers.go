@@ -95,7 +95,7 @@ func (rt *Router) writeRouteError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrNoReplicas):
 		rt.failf(w, http.StatusServiceUnavailable,
 			"no healthy replicas in fleet (%d/%d enrolled); retry later",
-			len(rt.healthy(nil)), len(rt.replicas))
+			rt.numHealthy(nil), len(rt.replicas))
 	case errors.As(err, &se):
 		if se.Status == http.StatusTooManyRequests {
 			ra := se.RetryAfter
@@ -123,7 +123,7 @@ func (rt *Router) writeRouteError(w http.ResponseWriter, err error) {
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	id := rt.FleetIdentity()
-	healthy := len(rt.healthy(nil))
+	healthy := rt.numHealthy(nil)
 	bi := obs.BuildInfo()
 	hz := RouterHealthz{
 		HealthzResponse: server.HealthzResponse{

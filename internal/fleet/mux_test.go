@@ -36,7 +36,7 @@ func TestNewEnrollsMuxFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	if got := len(rt.healthy(nil)); got != 3 {
+	if got := rt.numHealthy(nil); got != 3 {
 		t.Fatalf("%d of 3 live mux replicas enrolled when New returned", got)
 	}
 
@@ -125,7 +125,7 @@ func TestDeadMuxListenerNotEnrolled(t *testing.T) {
 func TestUseMuxDialsOnlyWithoutLiveConn(t *testing.T) {
 	f := newFakeReplica("f1", xorAnswer)
 	base := f.start(t)
-	c := NewClient(base, time.Second)
+	c := NewClient(base)
 	c.muxCounters = &mux.Counters{}
 	t.Cleanup(c.CloseIdleConnections)
 	for range 5 {
@@ -229,6 +229,98 @@ func TestOverLimitSubBatch413(t *testing.T) {
 		if res[i] != oracle.Reachable(uint32(p[0]), uint32(p[1])) {
 			t.Fatalf("result %d disagrees with oracle", i)
 		}
+	}
+}
+
+// TestRouterBatchPastDefaultLimit: with router and replica both at
+// 2^21 pairs, a sub-batch past mux.DefaultMaxBatchPairs crosses the
+// stream transport whole. The client bounds its response by the request
+// it answers, so the answers match the oracle, nothing fails over and
+// the replica stays enrolled.
+func TestRouterBatchPastDefaultLimit(t *testing.T) {
+	const limit = 1 << 21
+	g, oracle := realOracle(t)
+	base := startReplica(t, g, oracle, server.Config{MaxBatchPairs: limit})
+	cfg := silentCfg(base)
+	cfg.MaxBatchPairs = limit
+	rt := newTestRouter(t, cfg)
+
+	rng := rand.New(rand.NewSource(21))
+	n := g.NumVertices()
+	pairs := make([][2]uint64, mux.DefaultMaxBatchPairs+64)
+	for i := range pairs {
+		pairs[i] = [2]uint64{uint64(rng.Intn(n)), uint64(rng.Intn(n))}
+	}
+	res, err := rt.Batch(context.Background(), pairs)
+	if err != nil {
+		t.Fatalf("batch of %d pairs: %v", len(pairs), err)
+	}
+	for i, p := range pairs {
+		if res[i] != oracle.Reachable(uint32(p[0]), uint32(p[1])) {
+			t.Fatalf("result %d disagrees with oracle", i)
+		}
+	}
+	if fo := rt.met.failovers.Load(); fo != 0 {
+		t.Fatalf("%d failovers, want 0", fo)
+	}
+	if st := replicaStatsByBase(t, rt)[base].State; st != "healthy" {
+		t.Fatalf("replica %s after the batch, want healthy", st)
+	}
+}
+
+// TestUpstreamTimeoutBoundsMuxAttempts: UpstreamTimeout bounds a routed
+// attempt over mux as it does one over HTTP. An attempt on a replica
+// whose handler hangs ends at the timeout as a transport failure: the
+// replica is ejected and the request fails over to the other replica,
+// long before the caller's own deadline.
+func TestUpstreamTimeoutBoundsMuxAttempts(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	for _, kind := range []string{"single", "batch"} {
+		t.Run(kind, func(t *testing.T) {
+			hung := newFakeReplica("f1", xorAnswer)
+			release := make(chan struct{})
+			hung.hold = func() { <-release }
+			baseHung := hung.start(t)
+			t.Cleanup(func() { close(release) }) // runs before the fake stops
+			cfg := silentCfg(baseHung, newFakeReplica("f1", xorAnswer).start(t))
+			cfg.UpstreamTimeout = timeout
+			rt := newTestRouter(t, cfg)
+			// With both sampled, power-of-two-choices takes the less
+			// loaded replica: the hung one goes first.
+			rt.replicas[1].inflight.Store(100)
+
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			t0 := time.Now()
+			var got bool
+			var err error
+			if kind == "single" {
+				var rr server.ReachableResponse
+				rr, err = rt.Reachable(ctx, 3, 9)
+				got = rr.Reachable
+			} else {
+				var res []bool
+				if res, err = rt.Batch(ctx, [][2]uint64{{3, 9}, {1, 2}}); err == nil {
+					got = res[0]
+				}
+			}
+			elapsed := time.Since(t0)
+			if err != nil {
+				t.Fatalf("%s failed: %v", kind, err)
+			}
+			if got != xorAnswer(3, 9) {
+				t.Fatalf("%s answered %v, want %v", kind, got, xorAnswer(3, 9))
+			}
+			if elapsed > 10*timeout {
+				t.Fatalf("%s took %v with UpstreamTimeout %v", kind, elapsed, timeout)
+			}
+			if calls := hung.singleCalls.Load() + hung.batchCalls.Load(); calls != 1 {
+				t.Fatalf("hung replica saw %d calls, want 1", calls)
+			}
+			if fo := rt.met.failovers.Load(); fo != 1 {
+				t.Fatalf("%d failovers, want 1", fo)
+			}
+		})
 	}
 }
 

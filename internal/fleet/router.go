@@ -62,8 +62,10 @@ type Config struct {
 	// MaxBatchPairs rejects oversized /v1/batch requests before they
 	// are scattered (default 1<<20, matching reachd).
 	MaxBatchPairs int
-	// UpstreamTimeout bounds each request the router sends a replica
-	// (default none — the caller's own deadline governs).
+	// UpstreamTimeout bounds each routed attempt on one replica, over
+	// mux or HTTP (default none — the caller's own deadline governs).
+	// An attempt that outlives it ejects the replica and fails over.
+	// Health probes and stats fetches have ProbeTimeout instead.
 	UpstreamTimeout time.Duration
 	// Logf receives operational events (enrollment, ejection,
 	// mismatches). Defaults to log.Printf; tests silence it.
@@ -308,7 +310,7 @@ func New(ctx context.Context, cfg Config) (*Router, error) {
 			return nil, errors.New("fleet: replica URLs must be non-empty and unique")
 		}
 		seen[base] = true
-		client := NewClient(base, cfg.UpstreamTimeout)
+		client := NewClient(base)
 		// All replica clients account into the router's shared wire and
 		// mux traffic counters instead of their private ones.
 		client.counters = &rt.met.wire
@@ -322,7 +324,7 @@ func New(ctx context.Context, cfg Config) (*Router, error) {
 		})
 	}
 	rt.met.reg.GaugeFunc("reach_router_replicas_healthy", "Replicas currently enrolled and serving.", nil,
-		func() float64 { return float64(len(rt.healthy(nil))) })
+		func() float64 { return float64(rt.numHealthy(nil)) })
 	rt.met.reg.GaugeFunc("reach_router_replicas_total", "Replicas configured, healthy or not.", nil,
 		func() float64 { return float64(len(rt.replicas)) })
 	rt.met.reg.GaugeFunc("reach_mux_conns", "Open stream-transport (mux) connections across all replicas.", nil,
@@ -491,15 +493,15 @@ func (rt *Router) markDown(r *replica) {
 	r.mu.Unlock()
 }
 
-// healthy returns the currently enrolled replicas, excluding skip.
-func (rt *Router) healthy(skip map[*replica]bool) []*replica {
-	out := make([]*replica, 0, len(rt.replicas))
+// numHealthy counts the currently enrolled replicas, excluding skip.
+func (rt *Router) numHealthy(skip map[*replica]bool) int {
+	n := 0
 	for _, r := range rt.replicas {
 		if r.state.Load() == stateHealthy && !skip[r] {
-			out = append(out, r)
+			n++
 		}
 	}
-	return out
+	return n
 }
 
 // pick chooses a replica by power-of-two-choices: sample two distinct
@@ -507,28 +509,43 @@ func (rt *Router) healthy(skip map[*replica]bool) []*replica {
 // That is within a constant factor of ideal least-loaded balancing
 // without any shared counter contention or O(N) scan coordination.
 // math/rand/v2's top-level generators are per-thread (no global mutex),
-// so concurrent picks don't serialize the hot path.
+// so concurrent picks don't serialize the hot path. The candidates are
+// counted, then found by rank, never collected, so a pick allocates
+// nothing; if one changes state between the two scans, the other wins.
 func (rt *Router) pick(skip map[*replica]bool) *replica {
-	cands := rt.healthy(skip)
-	switch len(cands) {
-	case 0:
+	n := rt.numHealthy(skip)
+	if n == 0 {
 		return nil
-	case 1:
-		return cands[0]
 	}
-	i := rand.IntN(len(cands))
-	j := rand.IntN(len(cands) - 1)
-	if j >= i {
-		j++
+	i, j := 0, -1 // ranks of the two samples among the candidates
+	if n > 1 {
+		i, j = rand.IntN(n), rand.IntN(n-1)
+		if j >= i {
+			j++
+		}
 	}
-	if cands[i].inflight.Load() <= cands[j].inflight.Load() {
-		return cands[i]
+	var a, b *replica
+	k := 0
+	for _, r := range rt.replicas {
+		if r.state.Load() != stateHealthy || skip[r] {
+			continue
+		}
+		if k == i {
+			a = r
+		} else if k == j {
+			b = r
+		}
+		k++
 	}
-	return cands[j]
+	if a == nil || (b != nil && b.inflight.Load() < a.inflight.Load()) {
+		return b
+	}
+	return a
 }
 
 // route runs call against up to MaxAttempts distinct replicas, ejecting
-// ones that fail at the transport level and moving past 429/5xx answers.
+// ones that fail at the transport level (an attempt that outlives
+// UpstreamTimeout included) and moving past 429/5xx answers.
 // Non-retryable upstream statuses (a 400 for a bad vertex ID) and the
 // caller's own context ending stop the loop immediately.
 func route[T any](rt *Router, ctx context.Context, call func(context.Context, *Client) (T, error)) (T, error) {
@@ -551,7 +568,12 @@ func route[T any](rt *Router, ctx context.Context, call func(context.Context, *C
 		r.requests.Add(1)
 		r.inflight.Add(1)
 		t0 := time.Now()
-		res, err := call(ctx, r.client)
+		actx, cancel := ctx, context.CancelFunc(func() {})
+		if rt.cfg.UpstreamTimeout > 0 {
+			actx, cancel = context.WithTimeout(ctx, rt.cfg.UpstreamTimeout)
+		}
+		res, err := call(actx, r.client)
+		cancel()
 		r.rtt.RecordSince(t0)
 		r.inflight.Add(-1)
 		if err == nil {
@@ -624,21 +646,15 @@ func (rt *Router) Batch(ctx context.Context, pairs [][2]uint64) ([]bool, error) 
 	if n == 0 {
 		return []bool{}, nil
 	}
-	// Floor division: a batch only scatters into sub-batches that are
-	// each at least MinSubBatch pairs, so small batches skip fan-out
-	// entirely instead of paying several round trips for slivers.
-	chunks := n / rt.cfg.MinSubBatch
-	if chunks < 1 {
-		chunks = 1
-	}
-	h := len(rt.healthy(nil))
+	h := rt.numHealthy(nil)
 	if h == 0 {
 		rt.met.noReplicas.Add(1)
 		return nil, ErrNoReplicas
 	}
-	if chunks > h {
-		chunks = h
-	}
+	// Floor division: a batch only scatters into sub-batches that are
+	// each at least MinSubBatch pairs, so small batches skip fan-out
+	// entirely instead of paying several round trips for slivers.
+	chunks := min(max(n/rt.cfg.MinSubBatch, 1), h)
 	sendOne := func(ctx context.Context, sub [][2]uint64) ([]bool, error) {
 		rt.met.subBatches.Add(1)
 		return route(rt, ctx, func(ctx context.Context, c *Client) ([]bool, error) {

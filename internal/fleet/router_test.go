@@ -684,6 +684,36 @@ func TestPickPowerOfTwoChoices(t *testing.T) {
 	}
 }
 
+// TestPickUniformAndAllocFree: with loads tied the first sampled
+// candidate wins, so picks spread uniformly over the healthy replicas
+// outside skip, and a pick allocates nothing.
+func TestPickUniformAndAllocFree(t *testing.T) {
+	var bases []string
+	for range 4 {
+		bases = append(bases, newFakeReplica("f1", xorAnswer).start(t))
+	}
+	rt := newTestRouter(t, silentCfg(bases...))
+	for _, b := range bases {
+		waitState(t, rt, b, stateHealthy)
+	}
+	skip := map[*replica]bool{rt.replicas[3]: true}
+	counts := make(map[*replica]int)
+	for range 3000 {
+		counts[rt.pick(skip)]++
+	}
+	if n := counts[rt.replicas[3]]; n != 0 {
+		t.Fatalf("skipped replica picked %d times", n)
+	}
+	for i, r := range rt.replicas[:3] {
+		if n := counts[r]; n < 800 || n > 1200 {
+			t.Fatalf("replica %d picked %d of 3000 times, want about 1000", i, n)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { rt.pick(skip) }); allocs != 0 {
+		t.Fatalf("pick allocates %.1f times per call, want 0", allocs)
+	}
+}
+
 // TestRouterAgainstRealServers is the integration seam: three real
 // server.Server replicas (same graph, shared immutable oracle), a real
 // router, and answers checked against the oracle itself.

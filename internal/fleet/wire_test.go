@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	reach "repro"
 	"repro/internal/gen"
@@ -68,7 +67,7 @@ func startReplica(t *testing.T, g *reach.Graph, oracle *reach.Oracle, cfg server
 // connects it: healthz first, then the advertised mux listener.
 func muxClient(t *testing.T, base string) *Client {
 	t.Helper()
-	c := NewClient(base, time.Second)
+	c := NewClient(base)
 	c.muxCounters = &mux.Counters{}
 	hz, err := c.Healthz(context.Background())
 	if err != nil {

@@ -400,31 +400,6 @@ func TestReadEdgeListErrors(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := randomDAG(rng, 200, 600)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(g.EdgeList(), g2.EdgeList()) {
-		t.Fatal("binary round trip changed edges")
-	}
-	if err := g2.Validate(); err != nil {
-		t.Errorf("Validate after load: %v", err)
-	}
-}
-
-func TestReadBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("not a graph file")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	g := diamond(t)
 	s := ComputeStats(g)

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
@@ -83,76 +82,4 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 		return writeErr
 	}
 	return bw.Flush()
-}
-
-// binaryMagic identifies the binary graph format ("RGF1": Reachability
-// Graph Format v1).
-const binaryMagic = "RGF1"
-
-// WriteBinary serializes g in a compact little-endian binary format:
-// magic, n, m, out offsets, out adjacency. The reverse adjacency is
-// reconstructed on load.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	hdr := [2]uint64{uint64(g.NumVertices()), uint64(g.NumEdges())}
-	if err := binary.Write(bw, binary.LittleEndian, hdr[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.outOff); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.outAdj); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinary deserializes a graph written by WriteBinary and validates it.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("graph: reading magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %q", magic)
-	}
-	var hdr [2]uint64
-	if err := binary.Read(br, binary.LittleEndian, hdr[:]); err != nil {
-		return nil, fmt.Errorf("graph: reading header: %w", err)
-	}
-	n, m := int(hdr[0]), int(hdr[1])
-	if n < 0 || m < 0 || n > 1<<31 || m > 1<<33 {
-		return nil, fmt.Errorf("graph: implausible header n=%d m=%d", n, m)
-	}
-	outOff := make([]uint32, n+1)
-	if err := binary.Read(br, binary.LittleEndian, outOff); err != nil {
-		return nil, fmt.Errorf("graph: reading offsets: %w", err)
-	}
-	outAdj := make([]uint32, m)
-	if err := binary.Read(br, binary.LittleEndian, outAdj); err != nil {
-		return nil, fmt.Errorf("graph: reading adjacency: %w", err)
-	}
-	// Rebuild via the builder so the reverse adjacency and all invariants are
-	// re-derived rather than trusted.
-	b := NewBuilder(n)
-	for u := 0; u < n; u++ {
-		if outOff[u] > outOff[u+1] || int(outOff[u+1]) > m {
-			return nil, fmt.Errorf("graph: corrupt offsets at vertex %d", u)
-		}
-		for _, v := range outAdj[outOff[u]:outOff[u+1]] {
-			b.AddEdge(Vertex(u), v)
-		}
-	}
-	g, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	if g.NumEdges() != m {
-		return nil, fmt.Errorf("graph: edge count mismatch after load: %d != %d", g.NumEdges(), m)
-	}
-	return g, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -24,30 +25,16 @@ type ClientConfig struct {
 	// Defaults to DefaultWindow.
 	Window int
 
-	// MaxBatchPairs bounds batches this client sends (and therefore
-	// the responses it accepts). Defaults to DefaultMaxBatchPairs.
-	MaxBatchPairs int
-
 	// Counters receives traffic counts; nil uses a private set.
 	Counters *Counters
-
-	// DialTimeout bounds the TCP dial (the handshake has its own
-	// timeout on top). Defaults to handshakeTimeout.
-	DialTimeout time.Duration
 }
 
 func (cfg *ClientConfig) defaults() {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
 	}
-	if cfg.MaxBatchPairs <= 0 {
-		cfg.MaxBatchPairs = DefaultMaxBatchPairs
-	}
 	if cfg.Counters == nil {
 		cfg.Counters = &Counters{}
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = handshakeTimeout
 	}
 }
 
@@ -59,12 +46,13 @@ func (cfg *ClientConfig) defaults() {
 // the abandoned request) finally lands, so a late frame can never be
 // mistaken for the answer to a newer batch.
 type slot struct {
-	state atomic.Int32
-	done  chan struct{} // cap 1, signaled by the reader exactly once per waiting round
-	err   error         // valid after done; nil = resp holds a frame
-	req   []byte
-	resp  []byte
-	respN int
+	state   atomic.Int32
+	done    chan struct{} // cap 1, signaled by the reader exactly once per waiting round
+	err     error         // valid after done; nil = resp holds a frame
+	req     []byte
+	maxResp int // longest frame the request in flight may draw; set before state leaves free
+	resp    []byte
+	respN   int
 }
 
 const (
@@ -81,8 +69,6 @@ type Conn struct {
 	c        net.Conn
 	caps     uint32 // negotiated: ours AND the server's
 	serverFP string
-	window   int
-	maxFrame int
 	counters *Counters
 
 	wmu   sync.Mutex // serializes writes; each request is one contiguous Write
@@ -101,7 +87,7 @@ type Conn struct {
 // fingerprint yields an error wrapping ErrFingerprint.
 func Dial(ctx context.Context, addr string, cfg ClientConfig) (*Conn, error) {
 	cfg.defaults()
-	d := net.Dialer{Timeout: cfg.DialTimeout}
+	d := net.Dialer{Timeout: handshakeTimeout}
 	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
@@ -114,7 +100,8 @@ func Dial(ctx context.Context, addr string, cfg ClientConfig) (*Conn, error) {
 		nc.Close()
 		return nil, err
 	}
-	maxReply := maxEnvelopedResponse(cfg.MaxBatchPairs)
+	// The reply is a handshake frame, or an error frame refusing ours.
+	maxReply := max(wireproto.HandshakeSize(wireproto.MaxFingerprint), wireproto.ErrorSize(wireproto.MaxErrorMsg))
 	var hdr [wireproto.EnvelopeSize]byte
 	if _, err := io.ReadFull(nc, hdr[:]); err != nil {
 		nc.Close()
@@ -159,8 +146,6 @@ func Dial(ctx context.Context, addr string, cfg ClientConfig) (*Conn, error) {
 		c:          nc,
 		caps:       caps & wireproto.CapTrace,
 		serverFP:   serverFP,
-		window:     cfg.Window,
-		maxFrame:   maxReply,
 		counters:   cfg.Counters,
 		slots:      make([]slot, cfg.Window),
 		free:       make(chan uint32, cfg.Window),
@@ -265,6 +250,7 @@ func (cn *Conn) roundTrip(ctx context.Context, pairs [][2]uint32, out []bool, si
 	}
 	sl.req = sl.req[:size]
 	buildRequest(sl.req, id, pairs, single, trace, useTrace)
+	sl.maxResp = maxResponse(len(pairs))
 
 	sl.state.Store(slotWaiting)
 	if cn.dead.Load() {
@@ -354,7 +340,9 @@ func (cn *Conn) release(id uint32, sl *slot) {
 }
 
 // reader dispatches response frames to their slots by stream ID until
-// the connection dies, then fails every waiting slot.
+// the connection dies, then fails every waiting slot. A frame longer
+// than the request on its stream can draw is a protocol violation,
+// caught before any read is sized from its length.
 func (cn *Conn) reader() {
 	var err error
 	var hdr [wireproto.EnvelopeSize]byte
@@ -363,7 +351,7 @@ func (cn *Conn) reader() {
 			err = e
 			break
 		}
-		stream, flags, frameLen, e := wireproto.ParseEnvelope(hdr[:], cn.maxFrame)
+		stream, flags, frameLen, e := wireproto.ParseEnvelope(hdr[:], math.MaxInt)
 		if e != nil {
 			err = e
 			break
@@ -373,6 +361,15 @@ func (cn *Conn) reader() {
 			break
 		}
 		sl := &cn.slots[stream]
+		// The state load orders this read of maxResp after its write.
+		if st := sl.state.Load(); st != slotWaiting && st != slotAbandoned {
+			err = errProtocol // response for a stream nobody is waiting on
+			break
+		}
+		if int(frameLen) > sl.maxResp {
+			err = wireproto.ErrEnvLength
+			break
+		}
 		if cap(sl.resp) < int(frameLen) {
 			sl.resp = make([]byte, frameLen)
 		}

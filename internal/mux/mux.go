@@ -85,16 +85,9 @@ type Counters struct {
 	BytesRx  atomic.Int64
 }
 
-// maxEnvelopedResponse is the largest frame a client accepts in an
-// envelope: the response to its largest allowed request, or the
-// largest error/handshake frame a server may send.
-func maxEnvelopedResponse(maxPairs int) int {
-	m := wireproto.ResponseSize(maxPairs)
-	if e := wireproto.ErrorSize(wireproto.MaxErrorMsg); e > m {
-		m = e
-	}
-	if h := wireproto.HandshakeSize(wireproto.MaxFingerprint); h > m {
-		m = h
-	}
-	return m
+// maxResponse is the largest frame a client accepts on a stream that
+// carries a request of n pairs: the response to that request, or the
+// largest error frame a server may send instead.
+func maxResponse(n int) int {
+	return max(wireproto.ResponseSize(n), wireproto.ErrorSize(wireproto.MaxErrorMsg))
 }

@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/wireproto"
 )
 
 // echoBatch answers u<=v — trivially checkable from the pairs alone.
@@ -94,6 +98,81 @@ func TestMuxRoundTrip(t *testing.T) {
 	tr := srv.Traffic()
 	if tr.FramesRx.Load() == 0 || tr.FramesTx.Load() == 0 || tr.BytesRx.Load() == 0 || tr.BytesTx.Load() == 0 {
 		t.Fatalf("server traffic counters not all advancing: %+v", tr)
+	}
+}
+
+// TestMuxBatchPastDefaultLimit: the client bounds a response by the
+// request it answers, not by a batch limit of its own, so a batch past
+// DefaultMaxBatchPairs comes back whole from a server that admits it.
+func TestMuxBatchPastDefaultLimit(t *testing.T) {
+	n := DefaultMaxBatchPairs + 64
+	_, addr := startServer(t, ServerConfig{Batch: echoBatch, MaxBatchPairs: n})
+	cn, err := Dial(context.Background(), addr, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cn.Close()
+	pairs, want := testPairs(n, 11)
+	out := make([]bool, n)
+	if err := cn.Batch(context.Background(), pairs, out, ""); err != nil {
+		t.Fatalf("Batch(%d): %v", n, err)
+	}
+	for i := range out {
+		if out[i] != want[i] {
+			t.Fatalf("Batch(%d): out[%d] = %v, want %v", n, i, out[i], want[i])
+		}
+	}
+}
+
+// TestMuxOverlongResponseRejected: a response frame longer than any its
+// request can draw (the answer or the largest error frame) fails the
+// request with ErrEnvLength and kills the connection.
+func TestMuxOverlongResponseRejected(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+	})
+	go func() {
+		defer close(done)
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		// skip reads one enveloped frame and returns its stream.
+		skip := func() uint32 {
+			var hdr [wireproto.EnvelopeSize]byte
+			io.ReadFull(c, hdr[:])
+			stream, _, n, _ := wireproto.ParseEnvelope(hdr[:], math.MaxInt)
+			io.CopyN(io.Discard, c, int64(n))
+			return stream
+		}
+		skip() // the client's handshake
+		hs := make([]byte, wireproto.EnvelopeSize+wireproto.HandshakeSize(0))
+		wireproto.PutEnvelope(hs, 0, 0, uint32(wireproto.EncodeHandshake(hs[wireproto.EnvelopeSize:], 0, "")))
+		c.Write(hs)
+		long := maxResponse(1) + 8
+		resp := make([]byte, wireproto.EnvelopeSize+long)
+		wireproto.PutEnvelope(resp, skip(), 0, uint32(long))
+		c.Write(resp)
+		io.Copy(io.Discard, c) // hold the connection open until the client drops it
+	}()
+	cn, err := Dial(context.Background(), ln.Addr().String(), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cn.Close()
+	pairs, _ := testPairs(1, 3)
+	if err := cn.Batch(context.Background(), pairs, make([]bool, 1), ""); !errors.Is(err, wireproto.ErrEnvLength) {
+		t.Fatalf("Batch = %v, want ErrEnvLength", err)
+	}
+	if !cn.Dead() {
+		t.Fatal("conn still live after an overlong response")
 	}
 }
 

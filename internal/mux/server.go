@@ -220,7 +220,6 @@ type serverConn struct {
 	window    chan struct{}
 	inflight  atomic.Int64
 	drainkick atomic.Bool
-	caps      uint32
 }
 
 func (s *Server) newConn(c net.Conn) *serverConn {
@@ -312,7 +311,7 @@ func (sc *serverConn) handshake() error {
 	if _, err := io.ReadFull(c, frame); err != nil {
 		return err
 	}
-	caps, fp, err := wireproto.DecodeHandshake(frame)
+	_, fp, err := wireproto.DecodeHandshake(frame)
 	if err != nil {
 		return err
 	}
@@ -325,7 +324,6 @@ func (sc *serverConn) handshake() error {
 		c.Write(out[:wireproto.EnvelopeSize+n])
 		return ErrFingerprint
 	}
-	sc.caps = caps & wireproto.CapTrace
 	out := make([]byte, wireproto.EnvelopeSize+wireproto.HandshakeSize(len(want)))
 	n := wireproto.EncodeHandshake(out[wireproto.EnvelopeSize:], wireproto.CapTrace, want)
 	wireproto.PutEnvelope(out, stream, 0, uint32(n))

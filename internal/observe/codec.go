@@ -16,8 +16,8 @@ import (
 )
 
 // sectionVersion is bumped when the section layout changes; decoders
-// reject versions they do not understand (the caller then rebuilds the
-// stack from the graph instead).
+// reject versions they do not understand, and snapshot.decode then fails
+// the whole load, as it does for any other damaged section.
 const sectionVersion = 1
 
 // EncodeSection writes the stack's precomputed state as one snapshot

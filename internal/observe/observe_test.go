@@ -237,8 +237,8 @@ func sameState(a, b *Stack) bool {
 	return true
 }
 
-// TestSectionRoundTrip covers both reader backends: the copying stream
-// reader and the zero-copy slice reader (the mmap path).
+// TestSectionRoundTrip decodes an encoded section through the zero-copy
+// slice reader (the mmap path) back to the encoded state.
 func TestSectionRoundTrip(t *testing.T) {
 	g := randomDAG(t, 150, 0.04, 9)
 	st := Build(g, Config{})
@@ -248,23 +248,18 @@ func TestSectionRoundTrip(t *testing.T) {
 		t.Fatalf("SectionBytes() = %d but encoded %d bytes", want, len(raw))
 	}
 
-	for name, r := range map[string]*blockio.Reader{
-		"stream": blockio.NewStreamReader(bytes.NewReader(raw)),
-		"slice":  blockio.NewSliceReader(raw),
-	} {
-		dec, err := DecodeSection(g, r)
-		if err != nil {
-			t.Fatalf("%s decode: %v", name, err)
-		}
-		if !sameState(st, dec) {
-			t.Fatalf("%s decode: state differs from encoded stack", name)
-		}
-		if !dec.FromSnapshot() {
-			t.Errorf("%s decode: FromSnapshot() = false", name)
-		}
-		if dec.SizeInts() != st.SizeInts() {
-			t.Errorf("%s decode: SizeInts %d != %d", name, dec.SizeInts(), st.SizeInts())
-		}
+	dec, err := DecodeSection(g, blockio.NewSliceReader(raw))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !sameState(st, dec) {
+		t.Fatal("decode: state differs from encoded stack")
+	}
+	if !dec.FromSnapshot() {
+		t.Error("decode: FromSnapshot() = false")
+	}
+	if dec.SizeInts() != st.SizeInts() {
+		t.Errorf("decode: SizeInts %d != %d", dec.SizeInts(), st.SizeInts())
 	}
 }
 

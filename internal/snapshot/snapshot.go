@@ -8,9 +8,9 @@
 // The layout (see FORMAT in the README) is blockio blocks throughout:
 // flat little-endian integer arrays, 8-byte aligned, so the hop-labeling
 // and CSR sections of an mmap'd snapshot decode as zero-copy views of the
-// mapping. Open memory-maps; Read is the io.Reader fallback that copies.
-// Every decode path is bounds-checked — truncated or corrupted snapshots
-// return errors, never panic.
+// mapping. Open memory-maps a file and ReadBytes decodes a buffer already
+// in memory; both run the same bounds-checked decode, so truncated or
+// corrupted snapshots return errors, never panic.
 //
 // Which methods can be encoded is not this package's concern: the payload
 // is produced and consumed through the internal/index registry, so a new
@@ -134,13 +134,6 @@ func Open(path string) (*Snapshot, error) {
 	}
 	s.closer = f.Close
 	return s, nil
-}
-
-// Read decodes a snapshot from a stream — the copying fallback for
-// sources that cannot be mapped. The result is heap-backed; Close is a
-// no-op.
-func Read(r io.Reader) (*Snapshot, error) {
-	return decode(blockio.NewStreamReader(r))
 }
 
 // ReadBytes decodes a snapshot from an in-memory buffer through the same

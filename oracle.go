@@ -327,14 +327,15 @@ func Load(path string) (*Oracle, error) {
 	return o, nil
 }
 
-// LoadFrom restores an oracle from a snapshot stream — the copying
-// fallback for sources that cannot be memory-mapped.
+// LoadFrom restores an oracle from a snapshot stream, for sources that
+// cannot be memory-mapped: it reads the whole stream into memory and
+// decodes it as LoadBytes does.
 func LoadFrom(r io.Reader) (*Oracle, error) {
-	snap, err := snapshot.Read(r)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("reach: reading snapshot: %w", err)
 	}
-	return fromSnapshot(snap)
+	return LoadBytes(data)
 }
 
 // LoadBytes restores an oracle from an in-memory snapshot through the

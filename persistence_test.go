@@ -31,8 +31,9 @@ func persistenceFixture(t testing.TB) (*Graph, int) {
 
 // TestSnapshotRoundTripAllMethods is the acceptance test for the
 // universal snapshot format: every registered method round-trips through
-// Save and both load paths (zero-copy slice decode, as mmap uses, and the
-// streaming fallback) with identical answers on a randomized query set.
+// Save and both loaders (LoadBytes, the zero-copy decode mmap uses, and
+// LoadFrom, which reads a stream into memory first) with identical
+// answers on a randomized query set.
 func TestSnapshotRoundTripAllMethods(t *testing.T) {
 	g, n := persistenceFixture(t)
 	for _, m := range Methods() {

@@ -55,8 +55,9 @@ func exerciseLoaded(o *Oracle) {
 // FuzzLoadSnapshot is the satellite guarantee of the snapshot format:
 // arbitrary bytes — including truncated and bit-flipped real snapshots
 // from the checked-in corpus — either load into a queryable oracle or
-// return an error. Never a panic, through both the zero-copy (mmap) and
-// streaming decode paths.
+// return an error, never a panic. LoadBytes (the decode mmap'd files
+// take) and LoadFrom (a stream read into memory first) must reach the
+// same verdict on every input.
 func FuzzLoadSnapshot(f *testing.F) {
 	for _, m := range []Method{MethodDL, MethodGRAIL, MethodKReach, MethodBFS} {
 		snap := corpusSnapshot(f, m)
@@ -73,30 +74,34 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("RSNAPv2\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if o, err := LoadBytes(data); err == nil {
-			exerciseLoaded(o)
-		}
-		if o, err := LoadFrom(bytes.NewReader(data)); err == nil {
-			exerciseLoaded(o)
-		}
+		loadAgreeing(t, data)
 	})
+}
+
+// loadAgreeing loads data through LoadBytes and LoadFrom, fails t unless
+// both load or both fail, and queries whatever loaded.
+func loadAgreeing(t testing.TB, data []byte) {
+	t.Helper()
+	mapped, errBytes := LoadBytes(data)
+	streamed, errStream := LoadFrom(bytes.NewReader(data))
+	if (errBytes == nil) != (errStream == nil) {
+		t.Fatalf("loaders disagree on %d bytes: LoadBytes: %v; LoadFrom: %v", len(data), errBytes, errStream)
+	}
+	if errBytes == nil {
+		exerciseLoaded(mapped)
+		exerciseLoaded(streamed)
+	}
 }
 
 // TestSnapshotCorruptionReturnsErrors is the deterministic companion to
 // the fuzz target, run on every plain `go test`: every truncation length
 // and a sweep of single-byte corruptions of a real snapshot must yield an
-// error or a loadable, queryable oracle — no panics.
+// error or a loadable, queryable oracle — no panics — and the same
+// verdict from LoadBytes and LoadFrom.
 func TestSnapshotCorruptionReturnsErrors(t *testing.T) {
 	for _, m := range []Method{MethodDL, MethodGRAIL, MethodKReach, MethodPathTree} {
 		snap := corpusSnapshot(t, m)
-		tryLoad := func(data []byte) {
-			if o, err := LoadBytes(data); err == nil {
-				exerciseLoaded(o)
-			}
-			if o, err := LoadFrom(bytes.NewReader(data)); err == nil {
-				exerciseLoaded(o)
-			}
-		}
+		tryLoad := func(data []byte) { loadAgreeing(t, data) }
 		for cut := 0; cut < len(snap); cut++ {
 			tryLoad(snap[:cut])
 		}
@@ -111,6 +116,21 @@ func TestSnapshotCorruptionReturnsErrors(t *testing.T) {
 				tryLoad(mut)
 			}
 		}
+	}
+}
+
+// TestSnapshotTrailingBytesRejected pins one verdict per snapshot: a
+// snapshot followed by stray bytes fails to load through LoadFrom with
+// the same error as through LoadBytes.
+func TestSnapshotTrailingBytesRejected(t *testing.T) {
+	snap := append(corpusSnapshot(t, MethodDL), make([]byte, 8)...)
+	_, errBytes := LoadBytes(snap)
+	if errBytes == nil {
+		t.Fatal("LoadBytes accepted a snapshot followed by 8 stray bytes")
+	}
+	_, errStream := LoadFrom(bytes.NewReader(snap))
+	if errStream == nil || errStream.Error() != errBytes.Error() {
+		t.Fatalf("LoadFrom = %v, want the LoadBytes error %q", errStream, errBytes)
 	}
 }
 
